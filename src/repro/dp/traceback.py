@@ -61,6 +61,65 @@ def traceback_full(matrix: np.ndarray, q_codes: np.ndarray,
     return compress_ops(ops), path
 
 
+def traceback_banded(rows: np.ndarray, start: np.ndarray,
+                     q_codes: np.ndarray, r_codes: np.ndarray,
+                     model: ScoringModel,
+                     ) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
+    """:func:`traceback_full` over compact band storage.
+
+    ``rows[i, k]`` holds ``M[i][start[i] + k]``; a column outside
+    ``[start[i], start[i] + W)`` was never computed and reads as
+    unreachable (half the storage dtype's minimum, which no reachable
+    score derives from). Same tie priority, same ``(cigar, path)``,
+    same "no valid predecessor" error as the full-matrix walk over the
+    equivalent ``NEG_INF``-filled matrix.
+    """
+    i, j = len(q_codes), len(r_codes)
+    width = rows.shape[1]
+    if rows.shape[0] <= i or len(start) <= i:
+        raise AlignmentError(
+            f"band storage of {rows.shape[0]} rows does not cover "
+            f"{i + 1} query rows")
+    neg = int(np.iinfo(rows.dtype).min) // 2
+    starts = start.tolist()
+    q, r = np.asarray(q_codes).tolist(), np.asarray(r_codes).tolist()
+    cell, substitution = rows.item, model.substitution
+    gap_i, gap_d = model.gap_i, model.gap_d
+
+    k = j - starts[i]
+    here = cell(i, k) if 0 <= k < width else neg
+    ops: list[str] = []
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i > 0:
+            k = j - starts[i - 1]
+            if j > 0:
+                diag = cell(i - 1, k - 1) if 0 < k <= width else neg
+                if here == diag + substitution(q[i - 1], r[j - 1]):
+                    ops.append("=" if q[i - 1] == r[j - 1] else "X")
+                    i, j, here = i - 1, j - 1, diag
+                    path.append((i, j))
+                    continue
+            up = cell(i - 1, k) if 0 <= k < width else neg
+        if i > 0 and here == up + gap_i:
+            ops.append("I")
+            i, here = i - 1, up
+        else:
+            k = j - 1 - starts[i]
+            left = cell(i, k) if 0 <= k < width else neg
+            if j > 0 and here == left + gap_d:
+                ops.append("D")
+                j, here = j - 1, left
+            else:
+                raise AlignmentError(
+                    f"no valid predecessor at ({i}, {j}); matrix is "
+                    "inconsistent")
+        path.append((i, j))
+    ops.reverse()
+    path.reverse()
+    return compress_ops(ops), path
+
+
 def alignment_from_matrix(matrix: np.ndarray, q_codes: np.ndarray,
                           r_codes: np.ndarray,
                           model: ScoringModel) -> Alignment:

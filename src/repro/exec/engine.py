@@ -15,6 +15,7 @@ Multi-process sharding (``BatchConfig.workers > 1``) lives in
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from repro.algorithms.wavefront import _check_edit_model
 from repro.algorithms.xdrop import XdropAligner
 from repro.config import AlignmentConfig
 from repro.dp.alignment import Alignment
-from repro.dp.traceback import alignment_from_matrix, traceback_full
+from repro.dp.traceback import traceback_banded, traceback_full
 from repro.errors import AlignmentError, ConfigurationError
 from repro.exec import bitparallel as bitparallel_kernel
 from repro.exec import kernels, planner as planning
@@ -79,7 +80,8 @@ class BatchConfig:
         workers: Shard across this many worker processes when > 1.
         bucket_granularity: Length rounding for bucket keys.
         max_batch_cells: Cap on resident DP cells per vectorized
-            traceback chunk (bounds memory for full-matrix mode).
+            traceback chunk (full matrices; for banded sweeps the
+            kept corridor).
         band_width / band_fraction: Banded half-width (exactly one).
         xdrop / xdrop_fraction: X-drop threshold (exactly one).
         affine_penalties: Gap parameters for ``algorithm="affine"``.
@@ -397,7 +399,11 @@ class BatchEngine:
                     m=bucket.m_max), \
                     self.obs.profiler.phase(
                         f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                if batch.traceback:
+                if batch.traceback and batch.algorithm == "banded":
+                    for piece in self._band_slices(
+                            bucket, batch.band_width, batch.band_fraction):
+                        self._vector_align(piece, results)
+                elif batch.traceback:
                     cells = matrices_per_cell * (bucket.n_max + 1) \
                         * (bucket.m_max + 1)
                     chunk = max(1, batch.max_batch_cells // cells)
@@ -691,7 +697,7 @@ class BatchEngine:
                     results[position] = AlignerResult(
                         alignment=None, score=-distance, stats=stats)
         if certified:
-            groups: dict[int, list[tuple[int, int]]] = {}
+            groups: dict[int, list[int]] = {}
             for position, distance in certified:
                 q_codes, r_codes = pairs[position]
                 n, m = len(q_codes), len(r_codes)
@@ -700,10 +706,16 @@ class BatchEngine:
                     demoted.append(position)
                     continue
                 groups.setdefault(planning.width_class(half),
-                                  []).append((position, distance))
+                                  []).append(position)
+            # Defensive only: the certificate guarantees the replay
+            # reproduces the probed distance.
+            expected = dict(certified)
             for half, members in sorted(groups.items()):
-                demoted.extend(self._banded_exact(
-                    pairs, members, half, results, deadline))
+                demoted.extend(self._banded_sweep(
+                    pairs, members, half,
+                    lambda position, _n, _m, score:
+                    score == -expected[position],
+                    results, deadline))
         return demoted
 
     def _auto_bitparallel(self, pairs, positions: list[int],
@@ -746,53 +758,6 @@ class BatchEngine:
                 results[position] = AlignerResult(
                     alignment=None, score=-distance, stats=stats)
 
-    def _banded_exact(self, pairs, members: list[tuple[int, int]],
-                      half: int, results: list[AlignerResult | None],
-                      deadline: Deadline) -> list[int]:
-        """Banded traceback replay at a pre-certified half-width;
-        ``members`` carry the exact distance the corridor was certified
-        against. Returns demoted positions (defensive only -- the
-        certificate guarantees the replay matches)."""
-        batch = self.batch
-        model = self.config.model
-        demoted: list[int] = []
-        position_of = [position for position, _ in members]
-        expected = dict(members)
-        sub = [pairs[p] for p in position_of]
-        for bucket in bucketize(sub, batch.bucket_granularity):
-            deadline.check("auto banded bucket")
-            per_pair = (bucket.n_max + 1) * (bucket.m_max + 1)
-            chunk = max(1, batch.max_batch_cells // per_pair)
-            for piece in bucket.slices(chunk):
-                with self.obs.profiler.phase(
-                        f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                    with self.obs.profiler.phase("banded[int64]"):
-                        matrices, cells, _ = kernels.sweep_banded(
-                            piece, model, half, None, keep=True)
-                        if self.obs.enabled:
-                            self._account(int(np.sum(cells)), 8)
-                    with self.obs.profiler.phase("traceback"):
-                        for b, local in enumerate(piece.index):
-                            position = position_of[int(local)]
-                            q_codes, r_codes = pairs[position]
-                            n, m = len(q_codes), len(r_codes)
-                            score = int(matrices[b, n, m])
-                            if score <= kernels.PRUNE_FLOOR or \
-                                    score != -expected[position]:
-                                demoted.append(position)
-                                continue
-                            with _tag_pair(position):
-                                alignment = alignment_from_matrix(
-                                    matrices[b, :n + 1, :m + 1],
-                                    q_codes, r_codes, model)
-                            stats = DPStats(cells_computed=int(cells[b]),
-                                            cells_stored=int(cells[b]),
-                                            blocks=1)
-                            results[position] = AlignerResult(
-                                alignment=alignment,
-                                score=alignment.score, stats=stats)
-        return demoted
-
     def _auto_banded(self, pairs, positions: list[int],
                      estimates: list[int],
                      results: list[AlignerResult | None],
@@ -821,8 +786,11 @@ class BatchEngine:
                 groups.setdefault(half, []).append(position)
             pending = []
             for half, members in sorted(groups.items()):
-                retry = self._banded_try(pairs, members, half, results,
-                                         deadline)
+                retry = self._banded_sweep(
+                    pairs, members, half,
+                    lambda _position, n, m, score, half=half:
+                    planning.band_is_certified(model, n, m, score, half),
+                    results, deadline)
                 for position in retry:
                     q_codes, r_codes = pairs[position]
                     wider = half * 2
@@ -832,70 +800,67 @@ class BatchEngine:
                         pending.append((position, wider))
         return demoted
 
-    def _banded_try(self, pairs, positions: list[int], half: int,
-                    results: list[AlignerResult | None],
-                    deadline: Deadline) -> list[int]:
-        """One banded attempt at ``half`` for ``positions``; fills in
-        results whose band certificate holds and returns the rest."""
+    def _band_slices(self, bucket: PairBatch, width: int | None,
+                     fraction: float | None) -> list[PairBatch]:
+        """Even slices of ``bucket`` whose kept bands each fit
+        ``max_batch_cells`` (the band is what ``keep=True`` stores)."""
+        per_pair = kernels.band_storage_cells(bucket, width, fraction)
+        limit = max(1, self.batch.max_batch_cells // per_pair)
+        pieces = -(-bucket.size // limit)
+        return bucket.slices(-(-bucket.size // pieces))
+
+    def _banded_sweep(self, pairs, positions: list[int], half: int,
+                      accept, results: list[AlignerResult | None],
+                      deadline: Deadline) -> list[int]:
+        """One banded pass over ``positions`` at half-width ``half``:
+        stores the result of every pair whose corner score
+        ``accept(position, n, m, score)`` proves exact and returns the
+        positions it does not."""
         batch = self.batch
         model = self.config.model
-        retry: list[int] = []
+        profiler = self.obs.profiler
+        rejected: list[int] = []
         sub = [pairs[p] for p in positions]
         for bucket in bucketize(sub, batch.bucket_granularity):
             deadline.check("auto banded bucket")
-            per_pair = (bucket.n_max + 1) * (bucket.m_max + 1)
-            chunk = max(1, batch.max_batch_cells // per_pair) \
-                if batch.traceback else bucket.size
-            for piece in bucket.slices(max(1, chunk)):
-                with self.obs.profiler.phase(
+            pieces = self._band_slices(bucket, half, None) \
+                if batch.traceback else [bucket]
+            dtype = self._banded_dtype(bucket)
+            for piece in pieces:
+                with profiler.phase(
                         f"bucket[{bucket.n_max}x{bucket.m_max}]"):
-                    with self.obs.profiler.phase("banded[int64]"):
+                    with profiler.phase(f"banded[{dtype.name}]"):
                         swept, cells, widths = kernels.sweep_banded(
-                            piece, model, half, None,
-                            keep=batch.traceback)
+                            piece, model, half, None, keep=batch.traceback,
+                            force_wide=batch.wide_dtype)
                         if self.obs.enabled:
-                            self._account(int(np.sum(cells)), 8)
-                    retry.extend(self._absorb_banded(
-                        pairs, positions, piece, swept, cells, widths,
-                        half, results))
-        return retry
-
-    def _absorb_banded(self, pairs, positions: list[int],
-                       piece: PairBatch, swept, cells, widths, half: int,
-                       results: list[AlignerResult | None]) -> list[int]:
-        """Certificate-check one banded sweep's pairs and store the
-        proven-exact results; returns positions needing a wider band."""
-        batch = self.batch
-        model = self.config.model
-        retry: list[int] = []
-        for b, local in enumerate(piece.index):
-            position = positions[int(local)]
-            q_codes, r_codes = pairs[position]
-            n, m = len(q_codes), len(r_codes)
-            score = int(swept[b, n, m]) if batch.traceback \
-                else int(swept[b])
-            if score <= kernels.PRUNE_FLOOR or \
-                    not planning.band_is_certified(model, n, m, score,
-                                                   half):
-                retry.append(position)
-                continue
-            if batch.traceback:
-                with self.obs.profiler.phase("traceback"), \
-                        _tag_pair(position):
-                    alignment = alignment_from_matrix(
-                        swept[b, :n + 1, :m + 1], q_codes, r_codes,
-                        model)
-                stats = DPStats(cells_computed=int(cells[b]),
-                                cells_stored=int(cells[b]), blocks=1)
-                results[position] = AlignerResult(
-                    alignment=alignment, score=alignment.score,
-                    stats=stats)
-            else:
-                stats = DPStats(cells_computed=int(cells[b]),
-                                cells_stored=int(widths[b]), blocks=1)
-                results[position] = AlignerResult(
-                    alignment=None, score=score, stats=stats)
-        return retry
+                            self._account(int(np.sum(cells)),
+                                          dtype.itemsize)
+                    scores = swept.scores if batch.traceback else swept
+                    for b, local in enumerate(piece.index):
+                        position = positions[int(local)]
+                        q_codes, r_codes = pairs[position]
+                        n, m = len(q_codes), len(r_codes)
+                        score = int(scores[b])
+                        if score <= kernels.PRUNE_FLOOR or \
+                                not accept(position, n, m, score):
+                            rejected.append(position)
+                            continue
+                        alignment, stored = None, int(widths[b])
+                        if batch.traceback:
+                            with profiler.phase("traceback"), \
+                                    _tag_pair(position):
+                                alignment = _walk_alignment(
+                                    functools.partial(
+                                        traceback_banded, swept.rows[b],
+                                        swept.start),
+                                    q_codes, r_codes, model, score)
+                            stored = int(cells[b])
+                        stats = DPStats(cells_computed=int(cells[b]),
+                                        cells_stored=stored, blocks=1)
+                        results[position] = AlignerResult(
+                            alignment=alignment, score=score, stats=stats)
+        return rejected
 
     # Score-only kernels: rolling rows, one sweep per bucket.
 
@@ -915,7 +880,16 @@ class BatchEngine:
                 batch.wide_dtype)
             return self.obs.profiler.phase(
                 f"linear.{kind}[{np.dtype(dtype).name}]")
+        if batch.algorithm == "banded":
+            return self.obs.profiler.phase(
+                f"banded[{self._banded_dtype(bucket).name}]")
         return self.obs.profiler.phase(f"{batch.algorithm}[int64]")
+
+    def _banded_dtype(self, bucket: PairBatch) -> np.dtype:
+        """The dtype ``sweep_banded`` runs (and keeps) this bucket in."""
+        return np.dtype(kernels.banded_dtype(
+            self.config.model, bucket.q.shape[1], bucket.r.shape[1],
+            self.batch.wide_dtype))
 
     def _vector_score(self, bucket: PairBatch,
                       results: list[AlignerResult | None]) -> None:
@@ -959,9 +933,10 @@ class BatchEngine:
             with self._kernel_phase(bucket):
                 scores, cells, widths = kernels.sweep_banded(
                     bucket, model, batch.band_width, batch.band_fraction,
-                    keep=False)
+                    keep=False, force_wide=batch.wide_dtype)
                 if observing:
-                    self._account(int(np.sum(cells)), 8)
+                    self._account(int(np.sum(cells)),
+                                  self._banded_dtype(bucket).itemsize)
             for b, position in enumerate(bucket.index):
                 stats = DPStats(cells_computed=int(cells[b]),
                                 cells_stored=int(widths[b]), blocks=1)
@@ -1053,17 +1028,18 @@ class BatchEngine:
                         stats=stats)
         elif batch.algorithm == "banded":
             with self._kernel_phase(bucket):
-                matrices, cells, widths = kernels.sweep_banded(
+                band, cells, widths = kernels.sweep_banded(
                     bucket, model, batch.band_width, batch.band_fraction,
-                    keep=True)
+                    keep=True, force_wide=batch.wide_dtype)
                 if observing:
-                    self._account(int(np.sum(cells)), 8)
+                    self._account(int(np.sum(cells)),
+                                  band.rows.dtype.itemsize)
             with profiler.phase("traceback"):
                 for b, position in enumerate(bucket.index):
                     q_codes, r_codes, n, m = pair_view(b)
                     stats = DPStats(cells_computed=int(cells[b]),
                                     cells_stored=int(cells[b]), blocks=1)
-                    score = int(matrices[b, n, m])
+                    score = int(band.scores[b])
                     if score <= kernels.PRUNE_FLOOR:
                         results[position] = AlignerResult(
                             alignment=None, score=None, stats=stats,
@@ -1071,8 +1047,9 @@ class BatchEngine:
                             failure_reason="band excluded (n, m)")
                         continue
                     results[position] = _heuristic_traceback(
-                        matrices[b, :n + 1, :m + 1], q_codes, r_codes,
-                        model, score, stats)
+                        functools.partial(traceback_banded, band.rows[b],
+                                          band.start),
+                        q_codes, r_codes, model, score, stats)
         else:  # xdrop
             with self._kernel_phase(bucket):
                 matrices, cells, widths, failed = kernels.sweep_xdrop(
@@ -1091,8 +1068,10 @@ class BatchEngine:
                             failed=True, failure_reason="alignment dropped")
                         continue
                     results[position] = _heuristic_traceback(
-                        matrices[b, :n + 1, :m + 1], q_codes, r_codes,
-                        model, int(matrices[b, n, m]), stats)
+                        functools.partial(traceback_full,
+                                          matrices[b, :n + 1, :m + 1]),
+                        q_codes, r_codes, model, int(matrices[b, n, m]),
+                        stats)
 
 
 def _global_traceback(matrix: np.ndarray, q_codes: np.ndarray,
@@ -1101,17 +1080,23 @@ def _global_traceback(matrix: np.ndarray, q_codes: np.ndarray,
     return alignment_from_matrix(matrix, q_codes, r_codes, model)
 
 
-def _heuristic_traceback(matrix: np.ndarray, q_codes: np.ndarray,
-                         r_codes: np.ndarray, model, score: int,
+def _walk_alignment(trace, q_codes: np.ndarray, r_codes: np.ndarray,
+                    model, score: int) -> Alignment:
+    """The alignment ``trace(q_codes, r_codes, model) -> (cigar, path)``
+    walks out of kept banded / X-drop state."""
+    cigar, path = trace(q_codes, r_codes, model)
+    return Alignment(score=score, cigar=cigar, query_len=len(q_codes),
+                     ref_len=len(r_codes), meta={"path_cells": len(path)})
+
+
+def _heuristic_traceback(trace, q_codes: np.ndarray, r_codes: np.ndarray,
+                         model, score: int,
                          stats: DPStats) -> AlignerResult:
     """Banded/X-drop traceback with the same failure semantics as the
     scalar aligners (a pruned path surfaces as a failed result)."""
     try:
-        cigar, path = traceback_full(matrix, q_codes, r_codes, model)
+        alignment = _walk_alignment(trace, q_codes, r_codes, model, score)
     except AlignmentError as exc:
         return AlignerResult(alignment=None, score=score, stats=stats,
                              failed=True, failure_reason=str(exc))
-    alignment = Alignment(score=score, cigar=cigar, query_len=len(q_codes),
-                          ref_len=len(r_codes),
-                          meta={"path_cells": len(path)})
     return AlignerResult(alignment=alignment, score=score, stats=stats)

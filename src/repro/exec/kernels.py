@@ -16,7 +16,8 @@ Kernels come in two shapes:
   score captured the moment the sweep passes its true ``q_len`` row;
 - ``keep=True`` (alignment mode): full ``(B, n+1, m+1)`` matrices for
   the shared traceback functions (callers chunk the batch to bound
-  memory).
+  memory); the banded sweep keeps only its corridor
+  (:class:`KeptBand`).
 
 Pairs shorter than the bucket rectangle are *frozen* once their rows
 are done (``np.where`` keeps their state), and reductions mask padded
@@ -24,6 +25,8 @@ columns, so padding never leaks into a result.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +62,15 @@ def _score_table(model: ScoringModel) -> np.ndarray | None:
 # Linear-gap kernels: global / semiglobal / local
 # ----------------------------------------------------------------------
 
+def _max_abs_term(model: ScoringModel, table: np.ndarray | None) -> int:
+    """Largest magnitude of any substitution score or gap penalty."""
+    if table is None:
+        return max(abs(model.match), abs(model.mismatch),
+                   abs(model.gap_i), abs(model.gap_d), 1)
+    return max(int(np.abs(table).max()), abs(model.gap_i),
+               abs(model.gap_d), 1)
+
+
 def _linear_dtype(model: ScoringModel, table: np.ndarray | None,
                   n_max: int, m_max: int,
                   force_wide: bool = False) -> type:
@@ -73,13 +85,7 @@ def _linear_dtype(model: ScoringModel, table: np.ndarray | None,
     """
     if force_wide:
         return np.int64
-    if table is None:
-        max_abs = max(abs(model.match), abs(model.mismatch),
-                      abs(model.gap_i), abs(model.gap_d), 1)
-    else:
-        max_abs = max(int(np.abs(table).max()), abs(model.gap_i),
-                      abs(model.gap_d), 1)
-    bound = (n_max + 2 * m_max + 2) * max_abs
+    bound = (n_max + 2 * m_max + 2) * _max_abs_term(model, table)
     return np.int32 if bound < 2 ** 30 else np.int64
 
 
@@ -315,12 +321,17 @@ def sweep_affine(batch: PairBatch, model: ScoringModel,
 # ----------------------------------------------------------------------
 
 def _band_matrix(batch: PairBatch, width: int | None,
-                 fraction: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair ``(B, n_max+1)`` band intervals, replicating
-    :func:`repro.algorithms.banded.band_intervals` exactly."""
+                 fraction: float | None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair ``(B, n+1)`` band intervals over the rows ``0..n`` some
+    pair sweeps (``n = max q_len``), replicating
+    :func:`repro.algorithms.banded.band_intervals` exactly.
+
+    Returns ``(swept, lo, hi)``; ``swept[b, i]`` marks ``i <= q_len[b]``,
+    the rows on which pair ``b``'s interval means anything.
+    """
     B = batch.size
-    n_max = batch.q.shape[1]
-    rows = np.arange(n_max + 1, dtype=np.float64)
+    rows = np.arange(int(batch.q_len.max(initial=0)) + 1, dtype=np.float64)
     q_len = batch.q_len.astype(np.float64)
     r_len = batch.r_len.astype(np.float64)
     if width is not None:
@@ -340,65 +351,191 @@ def _band_matrix(batch: PairBatch, width: int | None,
     if zero_q.any():
         lo[zero_q] = 0
         hi[zero_q] = batch.r_len[zero_q, None]
-    return lo, hi
+    return rows[None, :] <= q_len[:, None], lo, hi
+
+
+@dataclass(frozen=True)
+class KeptBand:
+    """Compact kept matrices of a banded sweep: the corridor only.
+
+    Attributes:
+        rows: ``(B, n+1, W)`` band storage, ``rows[b, i, k]`` being
+            ``H_b[i][start[i] + k]``. ``W`` is the bucket's widest
+            union window -- ``2*half + 1`` plus the spread of the
+            pairs' diagonals plus the one-row lag of the window -- not
+            ``m+1``. Masked cells hold the sweep dtype's sentinel.
+        start: ``(n+1,)`` first stored column of each row; a column
+            outside ``[start[i], start[i] + W)`` is outside every
+            pair's band and reads as unreachable
+            (:func:`repro.dp.traceback.traceback_banded`).
+        scores: ``(B,)`` int64 corner scores ``H_b[q_len][r_len]``,
+            ``NEG_INF`` where the band excluded the corner.
+    """
+
+    rows: np.ndarray
+    start: np.ndarray
+    scores: np.ndarray
+
+
+def _band_windows(swept: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  ) -> tuple[np.ndarray, int]:
+    """Per-row union window ``[start[i], start[i] + W)`` of a bucket's
+    bands: over the pairs sweeping row ``i``, the union of
+    ``[min(lo[i-1], lo[i]), hi[i]]``.
+
+    The window opens at the *previous* row's ``lo`` because the scalar
+    recurrence lets values flow through columns ``lo[i-1] <= j <
+    lo[i]`` of row ``i`` during the horizontal scan before it masks
+    them.
+    """
+    first = lo.copy()
+    np.minimum(lo[:, :-1], lo[:, 1:], out=first[:, 1:])
+    start = np.where(swept, first, np.iinfo(np.int64).max).min(axis=0)
+    stop = np.where(swept, hi, 0).max(axis=0)
+    return start, int((stop - start).max()) + 1
+
+
+def band_storage_cells(batch: PairBatch, width: int | None,
+                       fraction: float | None) -> int:
+    """Cells per pair that ``sweep_banded(keep=True)`` stores for this
+    bucket -- an upper bound for any slice of it -- so callers can
+    size their chunks."""
+    swept, lo, hi = _band_matrix(batch, width, fraction)
+    return lo.shape[1] * _band_windows(swept, lo, hi)[1]
+
+
+def banded_dtype(model: ScoringModel, n_max: int, m_max: int,
+                 force_wide: bool = False) -> type:
+    """The dtype :func:`sweep_banded` will pick for these dimensions.
+
+    Stricter than :func:`linear_dtype`: the window runs up to
+    ``m_max + 1`` padding columns past the rectangle, and the int32
+    sentinel ``-2**30`` needs room on both sides -- reachable values
+    stay above ``-2**29``, values derived from the sentinel stay below
+    it and never wrap.
+    """
+    if force_wide:
+        return np.int64
+    bound = (n_max + 2 * (2 * m_max + 1) + 2) \
+        * _max_abs_term(model, _score_table(model))
+    return np.int32 if bound < 2 ** 27 else np.int64
 
 
 def sweep_banded(batch: PairBatch, model: ScoringModel,
                  width: int | None, fraction: float | None, keep: bool,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 force_wide: bool = False,
+                 ) -> tuple[np.ndarray | KeptBand, np.ndarray, np.ndarray]:
     """Batched banded NW (same corridor as
     :class:`~repro.algorithms.banded.BandedAligner`).
 
-    Returns ``(scores_or_matrices, cells_computed, max_widths)``; a
-    score at or below :data:`PRUNE_FLOOR` means the band excluded the
-    ``(n, m)`` corner for that pair.
+    Every row is computed, scanned and masked on the bucket's union
+    window of ``W`` columns only (:func:`_band_windows`), in place on
+    one tilted running row as in :func:`sweep_linear`; ``keep`` stores
+    that window and nothing else.
+
+    Returns ``(scores_or_band, cells_computed, max_widths)``: ``(B,)``
+    int64 scores, or a :class:`KeptBand` when ``keep``. A score at or
+    below :data:`PRUNE_FLOOR` means the band excluded the ``(n, m)``
+    corner for that pair.
     """
     B, m_max = batch.r.shape
-    n_max = batch.q.shape[1]
     table = _score_table(model)
-    gap_i, gap_d = np.int64(model.gap_i), np.int64(model.gap_d)
-    cols = np.arange(m_max + 1, dtype=np.int64)
-    offsets = cols * gap_d
-    lo_mat, hi_mat = _band_matrix(batch, width, fraction)
+    dtype = banded_dtype(model, batch.q.shape[1], m_max, force_wide)
+    neg = dtype(NEG_INF if dtype is np.int64 else -(1 << 30))
+    gap_i, gap_d = model.gap_i, model.gap_d
+    swept, lo, hi = _band_matrix(batch, width, fraction)
+    band = np.where(swept, hi - lo + 1, 0)
+    cells, widths = band.sum(axis=1), band.max(axis=1)
+    start, W = _band_windows(swept, lo, hi)
+    starts = start.tolist()
+    # Window-relative band edges, one contiguous row per DP row: pair
+    # b's band in row i is columns start[i] + (left[i, b] ..
+    # right[i, b]). Only the strips [0, strip_l[i]) and [strip_r[i], W)
+    # of the window hold out-of-band cells of any pair, so only they
+    # are compared and masked. Rows a pair no longer sweeps are never
+    # read back; they keep the whole window.
+    left = np.ascontiguousarray(np.where(swept, lo - start, 0).T)
+    right = np.ascontiguousarray(np.where(swept, hi - start, W).T)
+    strip_l = left.max(axis=1).tolist()
+    strip_r = (right.min(axis=1) + 1).tolist()
+    ks = np.arange(W)
 
-    in_band = (cols[None, :] >= lo_mat[:, 0:1]) \
-        & (cols[None, :] <= hi_mat[:, 0:1])
-    row = np.where(in_band, offsets[None, :], NEG_INF)
-    cells = (hi_mat[:, 0] - lo_mat[:, 0] + 1).astype(np.int64)
-    widths = cells.copy()
-    matrices = None
-    if keep:
-        matrices = np.full((B, n_max + 1, m_max + 1), NEG_INF,
-                           dtype=np.int64)
-        matrices[:, 0, :] = row
-    out = np.full(B, NEG_INF, dtype=np.int64)
-    done = batch.q_len == 0
-    if done.any():
-        out[done] = row[done, batch.r_len[done]]
+    # Buffer index = column + 1 (index 0 is a sentinel guard for the
+    # diagonal read of column 0); W padding columns on the right let
+    # every window be W wide. The columns a window leaves behind on its
+    # left lie below every sweeping pair's lo of that row, so the mask
+    # has already reset them. r_pad[:, j] is the reference symbol that
+    # cell column j consumes.
+    columns = m_max + 1 + W
+    row = np.full((B, columns + 1), neg, dtype=dtype)
+    r_pad = np.zeros((B, columns), dtype=np.uint8)
+    r_pad[:, 1:m_max + 1] = batch.r
+    q_cols = np.ascontiguousarray(batch.q.T)
+    score_dtype = dtype if force_wide or \
+        2 * _max_abs_term(model, table) >= 2 ** 14 else np.int16
+    if table is None:
+        # Fold the tilt's "- gap_d" into the substitution scores.
+        match_t = score_dtype(model.match - gap_d)
+        miss_t = score_dtype(model.mismatch - gap_d)
+        eq = np.empty((B, W), dtype=bool)
+        scores = np.empty((B, W), dtype=score_dtype)
+    else:
+        # profile[b, c, j] = S(c, r_pad[b, j]) - gap_d: each row pulls
+        # one window of one profile row per pair.
+        profile = np.ascontiguousarray(
+            (table - gap_d).astype(score_dtype)[:, r_pad].transpose(1, 0, 2))
+        pair_ids = np.arange(B)
+        q_cols = q_cols.astype(np.intp)
 
-    g = np.empty((B, m_max + 1), dtype=np.int64)
-    for i in range(1, n_max + 1):
-        active = batch.q_len >= i
-        if not active.any():
-            break
-        scores = _row_scores(model, table, batch.q[:, i - 1], batch.r)
-        g[:, 0] = np.where(lo_mat[:, i] == 0, np.int64(i) * gap_i, NEG_INF)
-        np.maximum(row[:, :-1] + scores, row[:, 1:] + gap_i, out=g[:, 1:])
-        new_row = np.maximum.accumulate(g - offsets, axis=1) + offsets
-        in_band = (cols[None, :] >= lo_mat[:, i:i + 1]) \
-            & (cols[None, :] <= hi_mat[:, i:i + 1])
-        new_row = np.where(in_band, new_row, NEG_INF)
-        row = np.where(active[:, None], new_row, row)
+    offsets = np.arange(columns, dtype=dtype) * dtype(gap_d)
+    stored = np.empty((B, len(starts), W), dtype=dtype) if keep else None
+    finishing: dict[int, list[int]] = {}
+    for b, n in enumerate(batch.q_len.tolist()):
+        finishing.setdefault(n, []).append(b)
+    raw = np.full(B, neg, dtype=dtype)
+
+    def settle(i: int, window: np.ndarray) -> None:
+        """Mask row ``i`` to the bands, keep it, capture finished pairs."""
+        cut = strip_l[i]
+        if cut:
+            np.copyto(window[:, :cut], neg,
+                      where=ks[:cut] < left[i][:, None])
+        cut = strip_r[i]
+        if cut < W:
+            np.copyto(window[:, cut:], neg,
+                      where=ks[cut:] > right[i][:, None])
         if keep:
-            matrices[:, i, :] = np.where(active[:, None], new_row, NEG_INF)
-        band_cells = hi_mat[:, i] - lo_mat[:, i] + 1
-        cells += np.where(active, band_cells, 0)
-        np.maximum(widths, np.where(active, band_cells, 0), out=widths)
-        done = batch.q_len == i
-        if done.any():
-            out[done] = row[done, batch.r_len[done]]
-    result = matrices if keep else out
-    return result, cells, widths
+            np.add(window, offsets[starts[i]:starts[i] + W],
+                   out=stored[:, i])
+        done = finishing.get(i)
+        if done:
+            raw[done] = row[done, batch.r_len[done] + 1]
+
+    window = row[:, starts[0] + 1:starts[0] + 1 + W]
+    window[...] = 0                                  # H[0][j] = j * gap_d
+    settle(0, window)
+    up_step = dtype(gap_i)
+    diag = np.empty((B, W), dtype=dtype)
+    g = np.empty((B, W), dtype=dtype)
+    for i in range(1, len(starts)):
+        s = starts[i]
+        if table is None:
+            np.equal(r_pad[:, s:s + W], q_cols[i - 1][:, None], out=eq)
+            np.multiply(eq, match_t - miss_t, out=scores)
+            scores += miss_t
+        else:
+            scores = profile[pair_ids, q_cols[i - 1], s:s + W]
+        window = row[:, s + 1:s + 1 + W]
+        np.add(row[:, s:s + W], scores, out=diag)
+        np.add(window, up_step, out=g)
+        np.maximum(diag, g, out=g)
+        if s == 0:
+            g[:, 0] = np.where(lo[:, i] == 0, dtype(i * gap_i), neg)
+        np.maximum.accumulate(g, axis=1, out=window)
+        settle(i, window)
+    out = np.where(raw <= neg // 2, NEG_INF,
+                   raw.astype(np.int64) + batch.r_len * gap_d)
+    return (KeptBand(stored, start, out) if keep else out), cells, widths
 
 
 # ----------------------------------------------------------------------

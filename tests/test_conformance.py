@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.algorithms import (
     WavefrontAligner,
     WindowAligner,
     XdropAligner,
+    band_intervals,
 )
 from repro.api import align, align_batch, score, score_batch
 from repro.baselines.ksw2 import ksw2_score
@@ -41,7 +43,8 @@ from repro.baselines.myers import myers_edit_distance
 from repro.core.system import SmxSystem
 from repro.dp.dense import nw_score
 from repro.errors import ConfigurationError
-from repro.exec import BatchConfig, BatchEngine
+from repro.exec import BatchConfig, BatchEngine, kernels
+from repro.scoring.model import MatchMismatchModel
 from repro.workloads.synthetic import ErrorProfile, mutate
 
 from tests.oracle import cached_oracle
@@ -359,6 +362,143 @@ def test_vector_engine_order_and_sharding(config):
                             traceback=True, workers=2)).run(pairs)
     for a, b in zip(baseline, sharded):
         _assert_identical(a, b, "sharded")
+
+
+# ---------------------------------------------------------------------
+# Banded kernel: band-size sweep (the Unicycler banded-verification
+# shape): batched == scalar at every width, == oracle inside the band
+# ---------------------------------------------------------------------
+
+def _band_sweep_pairs(config) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Slopes m/n of 0.5, 1 and 2 (related and unrelated sequences, so
+    optimal paths fall inside and outside narrow bands), a path that a
+    30-column deletion drives out of any narrow band, and every
+    zero-length / length-1 shape."""
+    rng = np.random.default_rng([SEED, zlib.crc32(config.name.encode()), 13])
+    alphabet = config.alphabet
+    profile = ErrorProfile(substitution=0.06, insertion=0.03, deletion=0.03)
+    pairs = []
+    for n in (20, 44):
+        for slope in (0.5, 1, 2):
+            m = int(n * slope)
+            core, _ = mutate(alphabet.random(min(n, m), rng), profile,
+                             alphabet, rng)
+            filler = alphabet.random(abs(m - n), rng)
+            cut = len(core) // 2
+            longer = np.concatenate([core[:cut], filler, core[cut:]])
+            pairs.append((core, longer) if m > n else (longer, core))
+            pairs.append((alphabet.random(n, rng), alphabet.random(m, rng)))
+    reference = alphabet.random(70, rng)
+    pairs.append((np.concatenate([reference[:20], reference[50:]]),
+                  reference))
+    for n, m in ((0, 0), (0, 7), (9, 0), (1, 1), (1, 5), (6, 1)):
+        pairs.append((alphabet.random(n, rng), alphabet.random(m, rng)))
+    return [(np.asarray(q, dtype=np.uint8), np.asarray(r, dtype=np.uint8))
+            for q, r in pairs]
+
+
+def _path_in_band(cigar, n: int, m: int, half: int) -> bool:
+    """Whether every cell of a global path lies inside the banded
+    corridor of half-width ``half``."""
+    lo, hi = band_intervals(n, m, half)
+    i = j = 0
+    for count, op in cigar:
+        for _ in range(count):
+            i += op in "=XI"
+            j += op in "=XD"
+            if not lo[i] <= j <= hi[i]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("config_name", ["dna-gap", "protein"])
+def test_banded_band_size_sweep(configs, config_name):
+    """Widths 1..64 and fractions over one mixed-length bucket (and the
+    default dense buckets, and one-pair chunks): the batched kernel and
+    its band-aware traceback equal the scalar ``BandedAligner`` in
+    every field -- including "no valid predecessor" failures -- and
+    equal the brute-force oracle whenever the optimal path stays inside
+    the band."""
+    config = configs[config_name]
+    pairs = _band_sweep_pairs(config)
+    oracle = []
+    for q, r in pairs:
+        exp_score, _ = _g(config, q, r)
+        gold = FullAligner().align(q, r, config.model)
+        assert gold.score == exp_score
+        oracle.append(gold.alignment)
+    bands = [dict(band_width=width) for width in range(1, 65)] \
+        + [dict(band_fraction=fraction)
+           for fraction in (0.02, 0.1, 0.33, 1.0)]
+    reasons = set()
+    for number, band in enumerate(bands):
+        scalar = BandedAligner(width=band.get("band_width"),
+                               fraction=band.get("band_fraction"))
+        aligned = [scalar.align(q, r, config.model) for q, r in pairs]
+        scored = [scalar.compute_score(q, r, config.model)
+                  for q, r in pairs]
+        # One mixed-length bucket always; dense buckets and one-pair
+        # kept chunks on a rotating subset to bound the runtime.
+        layouts = [dict(bucket_granularity=1024)]
+        if number % 8 == 0:
+            layouts += [dict(), dict(bucket_granularity=1024,
+                                     max_batch_cells=1)]
+        for layout in layouts:
+            for traceback, expected in ((True, aligned), (False, scored)):
+                batch = BatchConfig(engine="vector", algorithm="banded",
+                                    traceback=traceback, **band, **layout)
+                got = BatchEngine(config, batch).run(pairs)
+                for index, (vec, sca) in enumerate(zip(got, expected)):
+                    _assert_identical(vec, sca, (band, layout, traceback,
+                                                 index))
+        for (q, r), result, exact in zip(pairs, aligned, oracle):
+            reasons.add(result.failure_reason.split(" at ")[0])
+            half = scalar._half_width(len(q), len(r))
+            if _path_in_band(exact.cigar, len(q), len(r), half):
+                assert not result.failed, (band, len(q), len(r))
+                assert result.score == exact.score
+                assert result.alignment.cigar == exact.cigar
+            elif not result.failed:
+                assert result.score <= exact.score
+    assert reasons == {"", "no valid predecessor"}
+
+
+def test_banded_corner_below_prune_floor_fails_like_scalar(configs):
+    """Penalties steep enough to push a true score under the prune
+    floor: both engines report the corner as excluded (and the int64
+    sweep is the one that runs)."""
+    model = MatchMismatchModel(match=0, mismatch=-(1 << 30),
+                               gap_i=-(1 << 30), gap_d=-(1 << 30))
+    config = SimpleNamespace(name="steep", model=model,
+                             alphabet=configs["dna-gap"].alphabet)
+    pairs = [(np.zeros(600, dtype=np.uint8), np.ones(600, dtype=np.uint8)),
+             (np.zeros(10, dtype=np.uint8), np.ones(10, dtype=np.uint8))]
+    assert kernels.banded_dtype(model, 600, 600) is np.int64
+    for traceback, reason in ((True, "band excluded (n, m)"),
+                              (False, "band too narrow")):
+        batch = BatchConfig(engine="vector", algorithm="banded",
+                            band_width=4, traceback=traceback)
+        vec = BatchEngine(config, batch).run(pairs)
+        sca = BatchEngine(config, replace(batch, engine="scalar")).run(pairs)
+        for v, s in zip(vec, sca):
+            _assert_identical(v, s, traceback)
+        assert vec[0].failed and vec[0].failure_reason == reason
+        assert not vec[1].failed
+
+
+def test_banded_wide_dtype_matches_narrow(configs):
+    """``wide_dtype`` (the ladder's rung) switches the banded sweep to
+    int64 rows without changing any result."""
+    config = configs["dna-gap"]
+    pairs = _band_sweep_pairs(config)
+    assert kernels.banded_dtype(config.model, 64, 128) is np.int32
+    for traceback in (True, False):
+        batch = BatchConfig(engine="vector", algorithm="banded",
+                            band_width=3, traceback=traceback)
+        narrow = BatchEngine(config, batch).run(pairs)
+        wide = BatchEngine(config, replace(batch, wide_dtype=True)).run(pairs)
+        for a, b in zip(narrow, wide):
+            _assert_identical(a, b, traceback)
 
 
 # ---------------------------------------------------------------------

@@ -181,6 +181,60 @@ class TestBandCertificate:
         assert loose > tight
 
 
+class TestBandedMemory:
+    """The banded route stores the corridor, never the rectangle."""
+
+    HALF = 128
+
+    def _kilobase_pairs(self, rng, count):
+        return [make_pair(GAP, 1000, 0.08, rng) for _ in range(count)]
+
+    def test_kept_band_is_corridor_sized(self, rng):
+        from repro.exec import kernels
+        pairs = self._kilobase_pairs(rng, 4)
+        lengths = np.array([(len(q), len(r)) for q, r in pairs])
+        (bucket,) = bucketize(pairs, 1024)
+        band, cells, _ = kernels.sweep_banded(
+            bucket, GAP.model, self.HALF, None, keep=True)
+        n, m = lengths.max(axis=0)
+        # Diagonals of a bucket fan out by at most its length spread
+        # (slopes here stay below 1.1), plus rounding and the one-row
+        # lag of the window's left edge.
+        spread = int(2 * np.ptp(lengths[:, 0]) + np.ptp(lengths[:, 1])) + 3
+        per_pair = band.rows.nbytes // len(pairs)
+        assert band.rows.dtype == np.int32
+        assert per_pair <= (n + 1) * (2 * self.HALF + 1 + spread) * 4
+        assert per_pair * 4 < (n + 1) * (m + 1) * 8
+        assert kernels.band_storage_cells(
+            bucket, self.HALF, None) * 4 == per_pair
+        # One pair alone pays for its own band and one lag column.
+        (single,) = bucketize(pairs[:1], 16)
+        alone, _, _ = kernels.sweep_banded(
+            single, GAP.model, self.HALF, None, keep=True)
+        assert alone.rows.shape[2] == 2 * self.HALF + 2
+
+    def test_auto_banded_route_never_allocates_a_rectangle(self, rng):
+        import tracemalloc
+        pairs = self._kilobase_pairs(rng, 2)
+        n, m = (max(len(pair[side]) for pair in pairs) for side in (0, 1))
+        obs = Observability.enabled_context()
+        engine = BatchEngine(GAP, BatchConfig(engine="auto", traceback=True),
+                             obs=obs)
+        tracemalloc.start()
+        try:
+            results = engine.run(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert obs.metrics.counter("exec.plan.banded").value == len(pairs)
+        assert obs.metrics.counter("exec.plan.demoted").value == 0
+        assert all(result.alignment is not None for result in results)
+        # Both pairs' kept bands, rows and results together stay under
+        # ONE narrow (int32) rectangle; the old kernel kept an int64
+        # rectangle per pair.
+        assert peak < (n + 1) * (m + 1) * 4
+
+
 # ----------------------------------------------------------------------
 # Batched wavefront kernel conformance
 
