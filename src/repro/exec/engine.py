@@ -33,14 +33,12 @@ from repro.algorithms.local import (
     LocalAligner,
     SemiGlobalAligner,
     _require_positive_scores,
-    local_traceback,
-    semiglobal_traceback,
 )
 from repro.algorithms.wavefront import _check_edit_model
 from repro.algorithms.xdrop import XdropAligner
 from repro.config import AlignmentConfig
 from repro.dp.alignment import Alignment
-from repro.dp.traceback import traceback_banded, traceback_full
+from repro.dp.traceback import traceback_banded, traceback_full, walk_moves
 from repro.errors import AlignmentError, ConfigurationError
 from repro.exec import bitparallel as bitparallel_kernel
 from repro.exec import kernels, planner as planning
@@ -80,8 +78,8 @@ class BatchConfig:
         workers: Shard across this many worker processes when > 1.
         bucket_granularity: Length rounding for bucket keys.
         max_batch_cells: Cap on resident DP cells per vectorized
-            traceback chunk (full matrices; for banded sweeps the
-            kept corridor).
+            traceback chunk (kept move bits and the walk group that
+            shares them, banded corridor, or affine/X-drop matrices).
         band_width / band_fraction: Banded half-width (exactly one).
         xdrop / xdrop_fraction: X-drop threshold (exactly one).
         affine_penalties: Gap parameters for ``algorithm="affine"``.
@@ -388,6 +386,7 @@ class BatchEngine:
         matrices_per_cell = 3 if batch.algorithm == "affine" else 1
         events = self.obs.events
         bucket_lat, pair_lat = self._latency_instruments("vector")
+        kept: list[kernels.KeptMoves] = []
         done = 0
         for bucket in bucketize(pairs, batch.bucket_granularity):
             deadline.check("vector batch")
@@ -402,13 +401,13 @@ class BatchEngine:
                 if batch.traceback and batch.algorithm == "banded":
                     for piece in self._band_slices(
                             bucket, batch.band_width, batch.band_fraction):
-                        self._vector_align(piece, results)
+                        self._vector_align(piece, results, kept)
                 elif batch.traceback:
                     cells = matrices_per_cell * (bucket.n_max + 1) \
                         * (bucket.m_max + 1)
                     chunk = max(1, batch.max_batch_cells // cells)
                     for piece in bucket.slices(chunk):
-                        self._vector_align(piece, results)
+                        self._vector_align(piece, results, kept)
                 else:
                     self._vector_score(bucket, results)
             self._observe_bucket_latency(bucket_lat, pair_lat,
@@ -418,6 +417,8 @@ class BatchEngine:
                 events.emit("progress", engine="vector", done=done,
                             total=len(pairs), bucket=f"{bucket.n_max}x"
                             f"{bucket.m_max}")
+        if kept:
+            self._walk_kept(kept, results)
         return results
 
     # -- wavefront path ----------------------------------------------------
@@ -872,18 +873,18 @@ class BatchEngine:
     def _kernel_phase(self, bucket: PairBatch):
         """The profiler phase labeling this batch's kernel + dtype."""
         batch = self.batch
-        if batch.mode in ("local", "semiglobal") or \
-                batch.algorithm == "full":
-            kind = batch.mode if batch.mode != "global" else "global"
-            dtype = kernels.linear_dtype(
-                self.config.model, bucket.q.shape[1], bucket.r.shape[1],
-                batch.wide_dtype)
-            return self.obs.profiler.phase(
-                f"linear.{kind}[{np.dtype(dtype).name}]")
-        if batch.algorithm == "banded":
-            return self.obs.profiler.phase(
-                f"banded[{self._banded_dtype(bucket).name}]")
-        return self.obs.profiler.phase(f"{batch.algorithm}[int64]")
+        name = f"{batch.algorithm}[int64]"
+        if batch.algorithm == "full":   # the only one with other modes
+            name = f"linear.{batch.mode}[{self._linear_dtype(bucket).name}]"
+        elif batch.algorithm == "banded":
+            name = f"banded[{self._banded_dtype(bucket).name}]"
+        return self.obs.profiler.phase(name)
+
+    def _linear_dtype(self, bucket: PairBatch) -> np.dtype:
+        """The dtype ``sweep_linear`` runs this bucket in."""
+        return np.dtype(kernels.linear_dtype(
+            self.config.model, bucket.n_max, bucket.m_max,
+            self.batch.wide_dtype))
 
     def _banded_dtype(self, bucket: PairBatch) -> np.dtype:
         """The dtype ``sweep_banded`` runs (and keeps) this bucket in."""
@@ -897,19 +898,14 @@ class BatchEngine:
         model = self.config.model
         observing = self.obs.enabled
         q_len, r_len = bucket.q_len, bucket.r_len
-        if batch.mode in ("local", "semiglobal") or \
-                batch.algorithm == "full":
-            kind = batch.mode if batch.mode != "global" else "global"
+        if batch.algorithm == "full":
             with self._kernel_phase(bucket):
                 scores = kernels.sweep_linear(
-                    bucket, model, kind, keep=False,
+                    bucket, model, batch.mode, keep=False,
                     force_wide=batch.wide_dtype)
                 if observing:
-                    dtype = kernels.linear_dtype(
-                        model, bucket.q.shape[1], bucket.r.shape[1],
-                        batch.wide_dtype)
                     self._account(self._pair_cells(bucket),
-                                  np.dtype(dtype).itemsize)
+                                  self._linear_dtype(bucket).itemsize)
             for b, position in enumerate(bucket.index):
                 n, m = int(q_len[b]), int(r_len[b])
                 stats = DPStats(cells_computed=n * m, cells_stored=m + 1,
@@ -962,11 +958,38 @@ class BatchEngine:
                     stats=stats, failed=bad,
                     failure_reason="alignment dropped" if bad else "")
 
-    # Traceback kernels: full matrices per chunk, then the *shared*
-    # scalar traceback over each pair's true-size slice.
+    # Traceback kernels. The linear route keeps move bits and defers the
+    # walk: consecutive pieces share one lock-step walk while they fit
+    # ``max_batch_cells``. The others walk each pair's kept score slice.
+
+    def _walk_kept(self, kept: list[kernels.KeptMoves],
+                   results: list[AlignerResult | None]) -> None:
+        """One lock-step walk over all of ``kept``: stored, then emptied."""
+        kind = self.batch.mode
+        with self.obs.profiler.phase("traceback"):
+            cigars, start_i, start_j = walk_moves(
+                [(k.planes, k.end_i, k.end_j, k.batch.q, k.batch.r)
+                 for k in kept], kind)
+            columns = [(k.batch.index, k.batch.q_len * k.batch.r_len,
+                        k.scores, k.end_i, k.end_j) for k in kept]
+            lanes = zip(cigars, start_i, start_j, *(
+                np.concatenate(column).tolist() for column in zip(*columns)))
+            for cigar, i, j, position, cells, score, end_i, end_j in lanes:
+                meta = {"path_cells": 1 + sum(c for c, _ in cigar)} \
+                    if kind == "global" else \
+                    {"ref_start": j, "ref_end": end_j, "mode": kind}
+                if kind == "local":
+                    meta = {"query_start": i, "query_end": end_i, **meta}
+                alignment = Alignment(score=score, cigar=cigar, meta=meta,
+                                      query_len=end_i - i, ref_len=end_j - j)
+                results[position] = AlignerResult(
+                    alignment=alignment, score=score, stats=DPStats(
+                        cells_computed=cells, cells_stored=cells, blocks=1))
+        kept.clear()
 
     def _vector_align(self, bucket: PairBatch,
-                      results: list[AlignerResult | None]) -> None:
+                      results: list[AlignerResult | None],
+                      kept: list[kernels.KeptMoves]) -> None:
         batch = self.batch
         model = self.config.model
         observing = self.obs.enabled
@@ -977,35 +1000,18 @@ class BatchEngine:
             n, m = int(q_len[b]), int(r_len[b])
             return bucket.q[b, :n], bucket.r[b, :m], n, m
 
-        if batch.mode in ("local", "semiglobal") or \
-                batch.algorithm == "full":
-            kind = batch.mode if batch.mode != "global" else "global"
+        if batch.algorithm == "full":
+            if kept and kernels.walk_cells([bucket] + [
+                    k.batch for k in kept]) > batch.max_batch_cells:
+                self._walk_kept(kept, results)
             with self._kernel_phase(bucket):
-                matrices = kernels.sweep_linear(
-                    bucket, model, kind, keep=True,
-                    force_wide=batch.wide_dtype)
-                if observing:
-                    self._account(self._pair_cells(bucket),
-                                  matrices.dtype.itemsize)
-            with profiler.phase("traceback"):
-                for b, position in enumerate(bucket.index):
-                    q_codes, r_codes, n, m = pair_view(b)
-                    matrix = matrices[b, :n + 1, :m + 1]
-                    with _tag_pair(position):
-                        if kind == "global":
-                            alignment = _global_traceback(matrix, q_codes,
-                                                          r_codes, model)
-                        elif kind == "local":
-                            alignment = local_traceback(matrix, q_codes,
-                                                        r_codes, model)
-                        else:
-                            alignment = semiglobal_traceback(
-                                matrix, q_codes, r_codes, model)
-                    stats = DPStats(cells_computed=n * m,
-                                    cells_stored=n * m, blocks=1)
-                    results[position] = AlignerResult(
-                        alignment=alignment, score=alignment.score,
-                        stats=stats)
+                kept.append(kernels.sweep_linear(
+                    bucket, model, batch.mode, keep=True,
+                    force_wide=batch.wide_dtype))
+                if observing:   # sweep rows plus a byte per kept plane
+                    self._account(
+                        self._pair_cells(bucket), len(kept[-1].planes)
+                        + self._linear_dtype(bucket).itemsize)
         elif batch.algorithm == "affine":
             with self._kernel_phase(bucket):
                 h, e, f = kernels.sweep_affine(bucket, model,
@@ -1072,12 +1078,6 @@ class BatchEngine:
                                           matrices[b, :n + 1, :m + 1]),
                         q_codes, r_codes, model, int(matrices[b, n, m]),
                         stats)
-
-
-def _global_traceback(matrix: np.ndarray, q_codes: np.ndarray,
-                      r_codes: np.ndarray, model) -> Alignment:
-    from repro.dp.traceback import alignment_from_matrix
-    return alignment_from_matrix(matrix, q_codes, r_codes, model)
 
 
 def _walk_alignment(trace, q_codes: np.ndarray, r_codes: np.ndarray,

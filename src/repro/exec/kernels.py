@@ -2,11 +2,11 @@
 
 Every kernel runs the *same* integer recurrence as its scalar
 counterpart in ``repro.algorithms`` -- same prefix-scan row trick, same
-``NEG_INF`` sentinel, same int64 arithmetic -- but over a whole
-:class:`~repro.exec.buckets.PairBatch` at once: each ``np.maximum`` /
-``np.maximum.accumulate`` sweep advances one DP row of *every* pair in
-the bucket (the batching axis plays the role the anti-diagonal lanes
-play in Scrooge/KSW2). Because integer max/add is exact, the results
+``NEG_INF`` sentinel, in int64 or a narrower dtype proven safe for the
+bucket -- but over a whole :class:`~repro.exec.buckets.PairBatch` at
+once: each ``np.maximum`` / ``np.maximum.accumulate`` sweep advances
+one DP row of *every* pair in the bucket (the batching axis plays the
+role the anti-diagonal lanes play in Scrooge/KSW2). Because integer max/add is exact, the results
 are bit-identical to the scalar algorithms; the conformance suite
 (``tests/test_conformance.py``) locks both to the brute-force oracle.
 
@@ -14,10 +14,13 @@ Kernels come in two shapes:
 
 - ``keep=False`` (score mode): rolling ``(B, m+1)`` rows, each pair's
   score captured the moment the sweep passes its true ``q_len`` row;
-- ``keep=True`` (alignment mode): full ``(B, n+1, m+1)`` matrices for
-  the shared traceback functions (callers chunk the batch to bound
-  memory); the banded sweep keeps only its corridor
-  (:class:`KeptBand`).
+- ``keep=True`` (alignment mode): the state a traceback reads, for
+  callers that chunk the batch to bound memory. The linear sweep keeps
+  *moves*, not scores -- one byte per cell and plane saying which
+  predecessor reproduces ``H[i][j]`` (:class:`KeptMoves`, walked by
+  :func:`repro.dp.traceback.walk_moves`); the banded sweep keeps only
+  its corridor (:class:`KeptBand`); the affine and X-drop sweeps still
+  keep full ``(B, n+1, m+1)`` int64 score matrices.
 
 Pairs shorter than the bucket rectangle are *frozen* once their rows
 are done (``np.where`` keeps their state), and reductions mask padded
@@ -101,25 +104,53 @@ def linear_dtype(model: ScoringModel, n_max: int, m_max: int,
                          force_wide)
 
 
+@dataclass(frozen=True)
+class KeptMoves:
+    """Kept state of a linear sweep: moves, not scores.
+
+    Attributes:
+        batch: The bucket that was swept.
+        planes: ``(P, B, n+1, m+1)`` bool. ``planes[0][b, i, j]`` says
+            the diagonal reproduces ``H_b[i][j]``, ``planes[1]`` that
+            the up move does; the library-wide tie priority is how
+            they are read -- diagonal, else up, else left -- so row 0
+            is all false and column 0 all up. ``local`` sweeps add
+            ``planes[2]``, the ``H == 0`` bit that stops the walk.
+        scores: ``(B,)`` int64 scores, the same ``keep=False`` returns.
+        end_i / end_j: ``(B,)`` cell each pair's walk starts from: the
+            ``(q_len, r_len)`` corner, the first maximum of the last
+            row (semiglobal) or of the matrix in row-major order
+            (local).
+    """
+
+    batch: PairBatch
+    planes: np.ndarray
+    scores: np.ndarray
+    end_i: np.ndarray
+    end_j: np.ndarray
+
+
 def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
-                 keep: bool, force_wide: bool = False) -> np.ndarray:
+                 keep: bool, force_wide: bool = False,
+                 ) -> np.ndarray | KeptMoves:
     """Batched linear-gap sweep.
 
     The running row is kept *tilted* -- ``row'[j] = H[i][j] - j*gap_d``
     -- so the prefix-scan needs no per-row offset subtract/add: the
     horizontal chain becomes a plain ``np.maximum.accumulate`` and the
     two offset passes vanish. Values are untilted only where they
-    escape (captures, the kept matrices), so every emitted number is
-    identical to the untilted scalar recurrence.
+    escape (captures), so every emitted number is identical to the
+    untilted scalar recurrence; the kept move bits compare tilted
+    values of one column with each other, which the tilt cancels out
+    of.
 
     Args:
         kind: ``"global"`` (NW borders), ``"semiglobal"`` (free leading
             reference gap) or ``"local"`` (clamp at zero).
-        keep: Return full ``(B, n_max+1, m_max+1)`` matrices instead of
-            per-pair scores.
+        keep: Also keep what a traceback reads (:class:`KeptMoves`).
 
     Returns:
-        ``(B,)`` int64 scores, or the matrix stack when ``keep``.
+        ``(B,)`` int64 scores, or the :class:`KeptMoves` when ``keep``.
     """
     if kind not in ("global", "semiglobal", "local"):
         raise ValueError(f"unknown linear sweep kind {kind!r}")
@@ -183,14 +214,23 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
         row = np.negative(np.broadcast_to(offsets, (B, m_max + 1)))
         row = np.ascontiguousarray(row)              # H = 0
     neg_offsets = -offsets
-    matrices = None
-    untilted = np.empty((B, m_max + 1), dtype=dtype)
-    if keep:
-        matrices = np.empty((B, n_max + 1, m_max + 1), dtype=np.int64)
-        np.add(row, offsets, out=untilted)
-        matrices[:, 0, :] = untilted
     out = np.zeros(B, dtype=np.int64)
     masked_floor = dtype(np.iinfo(dtype).min // 4)
+    local = kind == "local"
+    if local:
+        best = np.zeros(B, dtype=np.int64)          # running maximum
+        untilted = np.empty((B, m_max + 1), dtype=dtype)
+    if keep:
+        planes = np.zeros((2 + local, B, n_max + 1, m_max + 1), dtype=bool)
+        diag_ok, up_ok = planes[0], planes[1]
+        if local:
+            planes[2, :, 0, :] = True                # H[0][j] = 0
+        else:
+            up_ok[:, 1:, 0] = True                   # H[i][0] = i * gap_i
+        end_i = np.zeros(B, dtype=np.int64) if local else batch.q_len
+        end_j = batch.r_len if kind == "global" \
+            else np.zeros(B, dtype=np.int64)
+    up_kept = np.empty((B, m_max), dtype=dtype) if keep else None
 
     def capture(i: int, current: np.ndarray) -> None:
         done = batch.q_len == i
@@ -206,9 +246,10 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
             masked = np.where(valid[done], current[done] + offsets,
                               masked_floor)
             out[done] = masked.max(axis=1).astype(np.int64)
+            if keep:
+                end_j[done] = masked.argmax(axis=1)
         # local is captured via the running best below
 
-    best = np.zeros(B, dtype=np.int64)      # local mode running max
     capture(0, row)
     g = np.empty((B, m_max + 1), dtype=dtype)
     for i in range(1, n_max + 1):
@@ -221,28 +262,48 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
         else:
             np.take(profile, b_base + batch.q[:, i - 1], axis=0,
                     out=scores)
-        g[:, 0] = 0 if kind == "local" else i * gap_i
+        g[:, 0] = 0 if local else i * gap_i
+        inner = g[:, 1:]
+        up = up_kept if keep else inner     # score mode: built in place
         np.add(row[:, :-1], scores, out=diag)
-        np.add(row[:, 1:], dtype(gap_i), out=g[:, 1:])
-        np.maximum(diag, g[:, 1:], out=g[:, 1:])
+        np.add(row[:, 1:], dtype(gap_i), out=up)
+        np.maximum(diag, up, out=inner)
         np.maximum.accumulate(g, axis=1, out=g)
         row, g = g, row
-        if kind == "local":
+        if local:
             np.maximum(row, neg_offsets, out=row)   # H = max(H, 0)
             active = batch.q_len >= i
             if active.any():
                 np.add(row, offsets, out=untilted)
-                row_best = np.where(valid, untilted, 0).max(axis=1)
+                masked = np.where(valid, untilted, 0)
+                row_best = masked.max(axis=1)
+                if keep:
+                    # Strictly better only: the first maximum in
+                    # row-major order is where the scalar walk starts.
+                    better = active & (row_best > best)
+                    end_i[better] = i
+                    end_j[better] = masked[better].argmax(axis=1)
                 np.maximum(best, np.where(active, row_best, 0), out=best)
         if keep:
-            np.add(row, offsets, out=untilted)
-            matrices[:, i, :] = untilted
+            # One compare per move, against the buffers the row was
+            # just built from.
+            np.equal(inner, diag, out=diag_ok[:, i, 1:])
+            np.equal(inner, up, out=up_ok[:, i, 1:])
+            if local:
+                np.equal(row, neg_offsets, out=planes[2, :, i, :])
         capture(i, row)
-    if keep:
-        return matrices
-    if kind == "local":
-        return best
-    return out
+    final = best if local else out
+    return KeptMoves(batch, planes, final, end_i, end_j) if keep else final
+
+
+def walk_cells(pieces: list[PairBatch]) -> int:
+    """Resident cells of one lock-step walk over the kept moves of
+    ``pieces``: their planes plus the walk's ``steps x lanes`` history,
+    so callers can size their walk groups."""
+    return sum(piece.size * (piece.n_max + 1) * (piece.m_max + 1)
+               for piece in pieces) \
+        + sum(piece.size for piece in pieces) \
+        * max(piece.n_max + piece.m_max + 1 for piece in pieces)
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,9 @@ module gives ``repro bench`` its machinery:
 Metrics come in two flavours the gate treats differently:
 
 - **absolute** throughput (``kernel.linear.dna.cups``,
-  ``engine.score.vector.pairs_per_sec``) -- meaningful on one machine,
-  noisy across machines;
+  ``engine.score.vector.pairs_per_sec``) or cost per item (anything
+  ending ``.us_per_pair``, lower is better) -- meaningful on one
+  machine, noisy across machines;
 - **relative** ratios (anything ending ``.speedup``) -- dimensionless
   and machine-portable, the right thing to gate in shared CI
   (``check(relative_only=True)``).
@@ -66,6 +67,11 @@ def _now() -> str:
 def is_relative(metric: str) -> bool:
     """Whether a metric is a machine-portable ratio (gateable in CI)."""
     return metric.endswith(".speedup")
+
+
+def lower_is_better(metric: str) -> bool:
+    """Whether a metric is a cost (time per item), not a rate."""
+    return metric.endswith(".us_per_pair")
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +158,10 @@ def collect(quick: bool = True, repeats: int = 3) -> dict:
     # batch sizes would make the history series incomparable with the
     # full-size bench_bitparallel records the gate medians over.
     metrics.update(_collect_bitparallel(repeats))
+    # One fixed short-read shape in both modes too: the only series
+    # that runs a traceback, so the only ones that see the kept state
+    # of the linear sweep and the walk over it.
+    metrics.update(_collect_cigar(repeats))
 
     if not quick:
         metrics.update(_collect_engine(repeats))
@@ -254,6 +264,28 @@ def _collect_bitparallel(repeats: int, n_pairs: int = 64,
     }
 
 
+def _collect_cigar(repeats: int, n_pairs: int = 256,
+                   length: int = 128) -> dict[str, float]:
+    """CIGAR suite: short dna-gap reads at 5 % through the vector
+    engine with ``traceback=True`` (a handful of length buckets sharing
+    one walk), as a cost per pair and as the ratio to the scalar
+    aligner on the same pairs, which is what shared CI can gate."""
+    from repro.config import dna_gap_config
+    from repro.exec.engine import BatchConfig, BatchEngine
+
+    config = dna_gap_config()
+    pairs = _mutated_pairs(config, n_pairs, length, error=0.05)
+
+    def run(engine: str) -> float:
+        batch = BatchConfig(engine=engine, traceback=True)
+        return _best_of(repeats,
+                        lambda: BatchEngine(config, batch).run(pairs))
+
+    t_vector = run("vector")
+    return {"engine.cigar.short.us_per_pair": 1e6 * t_vector / n_pairs,
+            "engine.cigar.short.speedup": run("scalar") / t_vector}
+
+
 def _collect_engine(repeats: int) -> dict[str, float]:
     """Engine-level scalar-vs-vector comparison (full mode only)."""
     from repro.config import dna_gap_config
@@ -326,9 +358,12 @@ def check(record: dict, history: dict,
 
     For every metric in ``record`` the baseline is the **median of its
     last ``window`` historical values**; the metric regresses when it
-    falls below ``(1 - tolerance) * baseline``. (All tracked metrics
-    are higher-is-better throughputs or speedups.) Metrics with no
-    history report ``status="new"``.
+    falls below ``(1 - tolerance) * baseline``. Tracked metrics are
+    higher-is-better throughputs or speedups, except the costs
+    :func:`lower_is_better` names, which regress when they rise above
+    ``baseline / (1 - tolerance)``; ``ratio`` is always the share of
+    the baseline's performance that is left. Metrics with no history
+    report ``status="new"``.
 
     With ``relative_only`` only machine-portable ratio metrics
     (:func:`is_relative`) are gated -- the right setting for shared CI
@@ -349,9 +384,15 @@ def check(record: dict, history: dict,
                             "threshold": None, "status": "new"})
             continue
         baseline = statistics.median(trail)
-        ratio = value / baseline if baseline else float("inf")
-        threshold = (1.0 - tolerance) * baseline
-        status = "regression" if value < threshold else "ok"
+        if lower_is_better(metric):
+            ratio = baseline / value if value else float("inf")
+            threshold = baseline / (1.0 - tolerance) if tolerance < 1.0 \
+                else float("inf")
+            status = "regression" if value > threshold else "ok"
+        else:
+            ratio = value / baseline if baseline else float("inf")
+            threshold = (1.0 - tolerance) * baseline
+            status = "regression" if value < threshold else "ok"
         results.append({"metric": metric, "value": value,
                         "baseline": baseline, "ratio": ratio,
                         "threshold": threshold, "status": status})

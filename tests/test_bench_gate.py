@@ -63,6 +63,23 @@ class TestCheck:
             ["kernel.linear.narrow.speedup"]
         assert rows[0]["status"] == "ok"
 
+    def test_cost_metrics_regress_upwards(self):
+        """``*.us_per_pair`` is a cost: halving it is a gain the gate
+        must not flag, a rise past ``baseline / (1 - tolerance)`` is
+        the regression, and shared CI never gates it."""
+        metric = "engine.cigar.short.us_per_pair"
+        history = {"records": [_record({metric: 100.0 * scale})
+                               for scale in (1.0, 1.05, 0.95)]}
+        [faster] = bench.check(_record({metric: 50.0}), history)
+        assert (faster["status"], faster["ratio"]) == ("ok", 2.0)
+        [slower] = bench.check(_record({metric: 134.0}), history)
+        assert slower["status"] == "regression"
+        assert slower["threshold"] == pytest.approx(100.0 / 0.75)
+        [within] = bench.check(_record({metric: 130.0}), history)
+        assert within["status"] == "ok"
+        assert bench.check(_record({metric: 1e9}), history,
+                           relative_only=True) == []
+
     def test_format_check_renders_table(self):
         text = bench.format_check(bench.check(_record(BASE), _history()))
         assert "kernel.linear.dna.cups" in text
@@ -228,6 +245,9 @@ class TestBenchCli:
         path = str(tmp_path / "hist.json")
         record = bench.collect(quick=True, repeats=1)
         assert record["metrics"]["kernel.linear.dna.cups"] > 0
+        # The traceback series: a cost, and the ratio CI can gate.
+        assert record["metrics"]["engine.cigar.short.us_per_pair"] > 0
+        assert record["metrics"]["engine.cigar.short.speedup"] > 1.0
         bench.append_record(path, record)
         rows = bench.check(record, bench.load_history(path))
         assert all(row["status"] == "ok" for row in rows)

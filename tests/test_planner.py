@@ -235,6 +235,62 @@ class TestBandedMemory:
         assert peak < (n + 1) * (m + 1) * 4
 
 
+class TestLinearWalkGroups:
+    """The linear route keeps move bits and walks buckets together."""
+
+    @staticmethod
+    def _traceback_calls(obs) -> int:
+        return sum(stat.calls for path, stat in obs.profiler.stacks.items()
+                   if path[-1] == "traceback")
+
+    def test_unit_spread_over_buckets_is_walked_once(self, rng):
+        pairs = [make_pair(GAP, 24 + 16 * (index % 7), 0.05, rng)
+                 for index in range(32)]
+        buckets = len(bucketize(pairs, BatchConfig().bucket_granularity))
+        assert buckets >= 6
+        obs = Observability.enabled_context(profile=True)
+        results = BatchEngine(GAP, BatchConfig(), obs=obs).run(pairs)
+        kernels = sum(stat.calls
+                      for path, stat in obs.profiler.stacks.items()
+                      if path[-1].startswith("linear.global"))
+        assert kernels == buckets
+        assert self._traceback_calls(obs) == 1
+        assert results == BatchEngine(
+            GAP, BatchConfig(engine="scalar")).run(pairs)
+
+    def test_kept_state_is_two_bytes_per_cell(self, rng):
+        import tracemalloc
+        pairs = [(rng.integers(0, 4, 128, dtype=np.uint8),
+                  rng.integers(0, 4, 128, dtype=np.uint8))
+                 for _ in range(256)]
+        cells = len(pairs) * 129 * 129
+        assert cells <= BatchConfig().max_batch_cells   # one chunk
+        engine = BatchEngine(GAP, BatchConfig())
+        tracemalloc.start()
+        try:
+            results = engine.run(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(result.alignment is not None for result in results)
+        # Planes, walk history and every result object together; one
+        # int64 score stack alone would be 8 * cells.
+        assert peak < 3 * cells
+
+    def test_batch_over_the_cell_budget_splits_in_order(self, rng):
+        pairs = [make_pair(GAP, 24 + 16 * (index % 5), 0.1, rng)
+                 for index in range(40)]
+        whole = BatchEngine(GAP, BatchConfig()).run(pairs)
+        obs = Observability.enabled_context(profile=True)
+        split = BatchEngine(GAP, BatchConfig(max_batch_cells=20_000),
+                            obs=obs).run(pairs)
+        assert self._traceback_calls(obs) > 1
+        assert split == whole
+        for (q, r), result in zip(pairs, split):
+            assert (result.alignment.query_len,
+                    result.alignment.ref_len) == (len(q), len(r))
+
+
 # ----------------------------------------------------------------------
 # Batched wavefront kernel conformance
 
