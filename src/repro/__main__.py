@@ -55,9 +55,9 @@ from repro.analysis.area import smx_area_breakdown, smx_power_mw
 from repro.config import standard_configs
 from repro.core.coprocessor import CoprocParams, CoprocessorSim
 from repro.core.system import SmxSystem
-from repro.algorithms.wavefront import _check_edit_model
 from repro.core.worker import BlockJob
 from repro.errors import ConfigurationError, EncodingError
+from repro.exec import routes
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.obs import reports as obs_reports
 
@@ -176,15 +176,13 @@ def cmd_align_batch(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # The bit-parallel engine is score-only: print '-' for the
-        # CIGAR column instead of rejecting the batch.
-        score_only = args.engine == "bitparallel"
+        # A score-only engine prints '-' for the CIGAR column instead
+        # of rejecting the batch.
         batch = BatchConfig(engine=args.engine, mode="global",
-                            traceback=not score_only,
+                            traceback=not routes.score_only(args.engine),
                             workers=args.workers)
-        if args.engine in ("wavefront", "bitparallel"):
-            # Fail fast with one line instead of a mid-batch traceback.
-            _check_edit_model(config.model, f"engine '{args.engine}'")
+        # Fail fast with one line instead of a mid-batch traceback.
+        BatchEngine(config, batch).check()
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -747,7 +745,7 @@ def cmd_enqueue(args: argparse.Namespace) -> int:
         return 2
     job = JobSpec(job_id=args.job_id or new_job_id(), pairs=pairs,
                   config=args.config, engine=args.engine,
-                  traceback=args.engine != "bitparallel",
+                  traceback=not routes.score_only(args.engine),
                   tenant=args.tenant, priority=args.priority,
                   deadline_s=args.deadline, workers=args.workers)
     spool = JobSpool(args.spool)
@@ -829,13 +827,13 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("--batch", metavar="FILE", default=None,
                        help="align many pairs: one 'QUERY REFERENCE' "
                             "per line ('#' comments allowed)")
-    align.add_argument("--engine",
-                       choices=("scalar", "vector", "wavefront",
-                                "bitparallel", "auto"),
+    score_only = ", ".join(repr(name) for name in routes.engines()
+                           if routes.score_only(name))
+    align.add_argument("--engine", choices=routes.engines(),
                        default="vector",
                        help="batch execution engine (default: vector; "
                             "'wavefront' needs a unit-cost edit config, "
-                            "'bitparallel' is score-only edit distance "
+                            f"{score_only} is score-only edit distance "
                             "-- CIGARs print as '-', "
                             "'auto' plans a route per pair)")
     align.add_argument("--workers", type=int, default=1,
@@ -891,12 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
     enqueue.add_argument("--spool", default="spool",
                          help="spool directory (default: ./spool)")
     _add_config_argument(enqueue)
-    enqueue.add_argument("--engine",
-                         choices=("scalar", "vector", "wavefront",
-                                  "bitparallel", "auto"),
+    enqueue.add_argument("--engine", choices=routes.engines(),
                          default="vector",
                          help="batch engine for the job "
-                              "(default: vector; 'bitparallel' jobs "
+                              f"(default: vector; {score_only} jobs "
                               "are score-only)")
     enqueue.add_argument("--tenant", default="default",
                          help="tenant lane for fair scheduling "

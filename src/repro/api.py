@@ -28,6 +28,7 @@ from repro.config import (
 from repro.core.system import SmxSystem
 from repro.dp.alignment import Alignment
 from repro.errors import ConfigurationError
+from repro.exec import routes
 from repro.exec.engine import BatchConfig, BatchEngine
 
 #: Named presets accepted by every function's ``preset=`` argument.
@@ -41,14 +42,16 @@ PRESETS = {
 }
 
 _MODES = ("global", "local", "semiglobal")
-_METHODS = ("auto", "wavefront", "bitparallel")
 
 
 def _check_method(method: str, mode: str) -> None:
-    if method not in _METHODS:
+    # "auto", or an engine that is one kernel route under its own name.
+    methods = ("auto", *(name for name in routes.engines()
+                         if name in routes.ROUTES))
+    if method not in methods:
         raise ConfigurationError(
-            f"unknown method {method!r}; choose from {_METHODS}")
-    if method in ("wavefront", "bitparallel") and mode != "global":
+            f"unknown method {method!r}; choose from {methods}")
+    if method != "auto" and mode != "global":
         raise ConfigurationError(
             f"method={method!r} supports only mode='global', got "
             f"{mode!r}")
@@ -86,11 +89,11 @@ def align(query: str, reference: str,
     """
     config = _resolve(preset)
     _check_method(method, mode)
-    if method == "bitparallel":
+    if routes.score_only(method):
         raise ConfigurationError(
-            "method 'bitparallel' is score-only (the bit vectors carry "
-            "no path state); use score() / score_batch(), or "
-            "method='wavefront' for an alignment")
+            f"method {method!r} is score-only "
+            f"({routes.score_only(method)}); use score() / score_batch(), "
+            "or method='wavefront' for an alignment")
     q_codes = config.encode(query)
     r_codes = config.encode(reference)
     if method == "wavefront":
@@ -136,8 +139,8 @@ def score(query: str, reference: str,
     if method == "wavefront":
         return WavefrontAligner().compute_score(q_codes, r_codes,
                                                 config.model).score
-    if method == "bitparallel":
-        engine = BatchEngine(config, BatchConfig(engine="bitparallel",
+    if routes.score_only(method):
+        engine = BatchEngine(config, BatchConfig(engine=method,
                                                  traceback=False))
         return engine.run([(q_codes, r_codes)])[0].score
     if mode == "global":

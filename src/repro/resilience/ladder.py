@@ -31,17 +31,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.exec import routes
 from repro.exec.engine import BatchConfig
 
 #: Heuristic algorithms the ``exact`` rung can promote.
 HEURISTIC_ALGORITHMS = ("banded", "xdrop")
-
-#: Engines with a vectorized fast path the ``scalar`` rung can leave
-#: (the adaptive ``auto``, batched ``wavefront`` and ``bitparallel``
-#: engines degrade the same way the plain vector engine does; a
-#: degraded bitparallel batch is score-only, so the scalar rung's
-#: ``compute_score`` path answers it exactly).
-VECTORIZED_ENGINES = ("vector", "wavefront", "bitparallel", "auto")
 
 
 def exact_config(batch: BatchConfig) -> BatchConfig:
@@ -60,22 +54,26 @@ def plan_rungs(batch: BatchConfig,
     engine deadline -- the supervisor owns the clock.
     """
     base = replace(batch, workers=1, deadline_s=None)
+    # Where the route registry says this engine's fast path degrades
+    # to (``None`` for the scalar reference path itself). A degraded
+    # score-only batch stays score-only: the fallback's
+    # ``compute_score`` path answers it exactly.
+    fallback = routes.degrade_to(batch.engine, batch.algorithm)
     rungs: list[tuple[str, BatchConfig]] = []
     if fault == "alignment":
         if batch.algorithm in HEURISTIC_ALGORITHMS:
             rungs.append(("exact", exact_config(batch)))
-        elif batch.engine in VECTORIZED_ENGINES:
-            rungs.append(("scalar", replace(base, engine="scalar")))
+        elif fallback:
+            rungs.append((fallback, replace(base, engine=fallback)))
         return rungs
     if fault == "rangeerror":
         if not base.wide_dtype:
             rungs.append(("wide-dtype", replace(base, wide_dtype=True)))
-        if base.engine in VECTORIZED_ENGINES:
-            rungs.append(("scalar", replace(base, engine="scalar",
+        if fallback:
+            rungs.append((fallback, replace(base, engine=fallback,
                                             wide_dtype=True)))
         return rungs
     # Generic computation faults: drop off the vectorized fast path.
-    if base.engine in VECTORIZED_ENGINES and fault not in (
-            "hang", "crash", "oserror", "deadline"):
-        rungs.append(("scalar", replace(base, engine="scalar")))
+    if fallback and fault not in ("hang", "crash", "oserror", "deadline"):
+        rungs.append((fallback, replace(base, engine=fallback)))
     return rungs

@@ -24,12 +24,9 @@ import uuid
 from dataclasses import dataclass, field
 
 from repro.core.atomicio import atomic_write_json
+from repro.exec import routes
 
 SCHEMA = "smx-job/1"
-
-#: Engines ``repro align --batch`` accepts; mirrored here so a typo'd
-#: job is rejected at admission, not mid-run.
-ENGINES = ("scalar", "vector", "wavefront", "bitparallel", "auto")
 
 
 def new_job_id() -> str:
@@ -45,9 +42,9 @@ class JobSpec:
         job_id: Unique id; doubles as the spool filename stem.
         pairs: ``(query, reference)`` sequence strings to align.
         config: Alignment configuration preset name.
-        engine: Batch engine (``scalar``/``vector``/``wavefront``/
-            ``bitparallel``/``auto``; ``bitparallel`` jobs must be
-            submitted with ``traceback=False``).
+        engine: Batch engine, one of :func:`repro.exec.routes.engines`
+            (jobs for a score-only engine such as ``bitparallel`` must
+            be submitted with ``traceback=False``).
         mode: Alignment mode (currently always ``global``).
         traceback: Whether to compute CIGARs.
         tenant: Client identity for the fair scheduler's lanes.
@@ -110,13 +107,15 @@ def job_from_dict(document: dict) -> JobSpec:
                 f"pairs[{index}] must be [query, reference] "
                 f"non-empty strings")
         pairs.append((entry[0], entry[1]))
+    # The engines ``repro align --batch`` accepts, so a typo'd job is
+    # rejected at admission, not mid-run.
     engine = document.get("engine", "vector")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, "
+    if engine not in routes.engines():
+        raise ValueError(f"engine must be one of {routes.engines()}, "
                          f"got {engine!r}")
-    if engine == "bitparallel" and bool(document.get("traceback", True)):
+    if routes.score_only(engine) and bool(document.get("traceback", True)):
         raise ValueError(
-            "engine 'bitparallel' is score-only; submit the job with "
+            f"engine {engine!r} is score-only; submit the job with "
             "traceback=false or pick another engine")
     priority = document.get("priority", 1)
     if not isinstance(priority, int) or priority < 1:

@@ -317,8 +317,9 @@ class TestTelemetry:
         assert moved < 8 * 1024 * 1024  # << the per-cell accounting
 
     def test_degradation_ladder_covers_bitparallel(self):
-        from repro.resilience.ladder import VECTORIZED_ENGINES, plan_rungs
-        assert "bitparallel" in VECTORIZED_ENGINES
+        from repro.exec import routes
+        from repro.resilience.ladder import plan_rungs
+        assert routes.degrade_to("bitparallel") == "scalar"
         batch = BatchConfig(engine="bitparallel", traceback=False)
         rungs = plan_rungs(batch, "alignment")
         assert [name for name, _ in rungs] == ["scalar"]

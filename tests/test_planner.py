@@ -44,6 +44,7 @@ from repro.obs import Observability
 from repro.obs.events import EventStream
 from repro.obs.prof import CostModel
 from repro.resilience import ResilienceConfig, SupervisedEngine, parse_rates
+from tests.characterisation import routing_corpus
 from tests.conftest import make_pair
 from tests.oracle import cached_oracle
 
@@ -336,6 +337,9 @@ class TestWavefrontKernelConformance:
                             wavefront_max_score=2)
         results = BatchEngine(EDIT, batch, obs=obs).run(pairs)
         assert obs.metrics.counter("exec.wavefront.fallbacks").value > 0
+        # The fallback's buckets stay under this batch's engine label.
+        assert obs.metrics.snapshot()[
+            "exec.pair_latency_us{engine=wavefront}"]["count"] == len(pairs)
         vector = BatchEngine(EDIT, BatchConfig(traceback=True)).run(pairs)
         for got, want in zip(results, vector):
             assert got.score == want.score
@@ -428,6 +432,35 @@ class TestAutoEngineConformance:
                   for name in stack}
         assert "exec.plan" in phases
         assert "linear.wavefront" in phases
+
+    @pytest.mark.parametrize("traceback", [True, False])
+    @pytest.mark.parametrize("config", [EDIT, GAP],
+                             ids=lambda config: config.name)
+    def test_auto_bucket_telemetry_counts_each_pair_once(self, config,
+                                                         traceback):
+        """Every bucket of every route -- probes, widened bands, demoted
+        pairs -- is observed under the batch's own engine label, and
+        each pair is counted when (and only when) it is settled."""
+        pairs = routing_corpus(config)
+        obs = Observability.enabled_context(events=EventStream())
+        tight = PlannerPolicy(probe_slack=1, band_slack=0,
+                              banded_divergence=1.0)
+        BatchEngine(config, BatchConfig(engine="auto", traceback=traceback,
+                                        planner=tight), obs=obs).run(pairs)
+        snapshot = obs.metrics.snapshot()
+        for name in ("exec.pair_latency_us", "exec.bucket_latency_us"):
+            assert [key for key in snapshot if key.startswith(name)] \
+                == [name + "{engine=auto}"]
+        assert snapshot["exec.pair_latency_us{engine=auto}"]["count"] \
+            == snapshot["exec.pairs{engine=auto}"] == len(pairs)
+        assert snapshot["exec.bucket_fill"]["count"] \
+            == snapshot["exec.bucket_latency_us{engine=auto}"]["count"]
+        assert snapshot["exec.plan.demoted"] > 0
+        progress = obs.events.of_kind("progress")
+        assert {event["engine"] for event in progress} == {"auto"}
+        assert [event["done"] for event in progress] \
+            == sorted(event["done"] for event in progress)
+        assert progress[-1]["done"] == progress[-1]["total"] == len(pairs)
 
     def test_auto_respects_custom_policy(self, rng):
         """A policy that disables the fast routes degrades auto to the
