@@ -34,8 +34,7 @@ Commands:
   with error-budget burn rates (``--once`` for a single snapshot);
 - ``critpath`` -- extract the critical path from a (stitched) Chrome
   trace written by ``--trace-out`` and attribute the end-to-end wall
-  clock to the phases along it;
-- ``bench``    -- benchmark suite + trailing-median regression gate.
+  clock to the phases along it.
 
 Observability: ``align`` and ``simulate`` accept ``--trace-out FILE``
 (Perfetto/``chrome://tracing``-loadable span trace in simulated cycles)
@@ -518,48 +517,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-    if args.ingest:
-        try:
-            record = bench.record_from_run_reports(args.ingest)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not record["metrics"]:
-            print("error: no benchmark metrics found in the given "
-                  "reports", file=sys.stderr)
-            return 2
-    else:
-        record = bench.collect(quick=not args.full)
-    try:
-        history = bench.load_history(args.history)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    failed = False
-    if args.check:
-        results = bench.check(record, history,
-                              tolerance=args.tolerance,
-                              window=args.window,
-                              relative_only=args.relative_only)
-        print(bench.format_check(results))
-        failed = any(row["status"] == "regression" for row in results)
-    else:
-        for metric in sorted(record["metrics"]):
-            print(f"{metric:<40}{record['metrics'][metric]:>16,.3f}")
-    if failed:
-        print(bench.format_regressions(results), file=sys.stderr)
-        print(f"[regression vs {args.history}; record not appended]",
-              file=sys.stderr)
-        return 1
-    if not args.no_append:
-        bench.append_record(args.history, record)
-        print(f"[record #{len(history['records']) + 1} appended to "
-              f"{args.history}]", file=sys.stderr)
-    return 0
-
-
 def _monitor_objectives(args: argparse.Namespace):
     from repro.obs import slo as obs_slo
     objectives = [] if args.no_default_slos \
@@ -596,45 +553,28 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         else:
             print(obs_slo.format_monitor(snapshot))
         return 0
-    # Follow mode: incremental tail with a partial-line buffer (the
+    # Follow mode: the reader holds back a partially written tail (the
     # writer flushes whole lines, but reads can race mid-write).
     try:
         handle = open(args.events, encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    reader = obs_events.EventReader(args.events, strict=args.strict)
     event_list: list[dict] = []
-    skipped = 0
-    buffer = ""
     rendered = -1
     try:
         while True:
-            chunk = handle.read()
-            if chunk:
-                buffer += chunk
-                lines = buffer.split("\n")
-                buffer = lines.pop()
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json_mod.loads(line)
-                        if not isinstance(event, dict):
-                            raise ValueError("not a JSON object")
-                    except (ValueError, json_mod.JSONDecodeError) as exc:
-                        if args.strict:
-                            print(f"error: {args.events}: not a JSON "
-                                  f"event line ({exc})", file=sys.stderr)
-                            return 2
-                        skipped += 1
-                        continue
-                    event_list.append(event)
+            try:
+                event_list.extend(reader.feed(handle.read()))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             if len(event_list) != rendered:
                 rendered = len(event_list)
                 snapshot = obs_slo.monitor_snapshot(
                     event_list, objectives, window_s=args.window,
-                    skipped=skipped)
+                    skipped=reader.skipped)
                 if getattr(args, "json", False):
                     print(json_mod.dumps(snapshot, sort_keys=True),
                           flush=True)
@@ -1067,42 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print at most this many path steps "
                                "(default: all)")
     critpath.set_defaults(func=cmd_critpath)
-
-    bench = sub.add_parser(
-        "bench", help="run benchmark suite and track history")
-    bench.add_argument("--history", metavar="FILE",
-                       default="results/BENCH_HISTORY.json",
-                       help="benchmark history file "
-                            "(default: results/BENCH_HISTORY.json)")
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", default=True,
-                      help="vector-kernel micro-benchmarks only "
-                           "(the default)")
-    mode.add_argument("--full", action="store_true",
-                      help="also run engine-level scalar-vs-vector "
-                           "benchmarks")
-    bench.add_argument("--check", action="store_true",
-                       help="gate against the trailing history median; "
-                            "exit 1 on regression (regressed records "
-                            "are not appended)")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed fractional drop below the "
-                            "trailing median (default: 0.25)")
-    bench.add_argument("--window", type=int, default=5,
-                       help="trailing records per metric for the "
-                            "median baseline (default: 5)")
-    bench.add_argument("--relative-only", action="store_true",
-                       help="gate only machine-portable ratio metrics "
-                            "(*.speedup) -- recommended in shared CI")
-    bench.add_argument("--no-append", action="store_true",
-                       help="measure/check without writing to the "
-                            "history file")
-    bench.add_argument("--ingest", metavar="REPORT", nargs="+",
-                       default=None,
-                       help="seed the history from existing "
-                            "smx-run-report/1 files instead of "
-                            "running benchmarks")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -148,51 +148,67 @@ def open_jsonl(path: str, max_events: int = 10_000) -> JsonlEventStream:
     return JsonlEventStream(path, max_events=max_events)
 
 
-def load_events(path: str, strict: bool = False,
-                ) -> tuple[list[dict], int]:
-    """Load an events file; blank lines are skipped.
+class EventReader:
+    """Incremental reader of a JSONL events stream.
+
+    :meth:`feed` takes text as it arrives and returns the events of the
+    lines it completes, holding an unterminated tail back until its
+    newline (or ``final=True``) arrives; blank lines are skipped.
 
     A live run's file usually ends in a partially written line (the
-    writer is mid-``write`` or the reader raced the flush), so by
-    default a *final* line that fails to parse is skipped and counted
-    instead of raised; returns ``(events, skipped)``. Malformed lines
-    *before* the last one mean real corruption and always raise.
-    ``strict=True`` raises on any malformed line, final or not.
-
-    Raises:
-        OSError: the file cannot be read.
-        ValueError: a malformed line (see above).
+    writer is mid-``write`` or the reader raced the flush), so a line
+    that fails to parse is tolerated, and counted in :attr:`skipped`,
+    while it is the *last* line seen. Any line after it, good or bad,
+    means real corruption and raises ``ValueError`` citing
+    ``name:lineno``; ``strict=True`` raises at the malformed line itself.
     """
-    events: list[dict] = []
-    bad: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+
+    def __init__(self, name: str, strict: bool = False) -> None:
+        self.name = name
+        self.strict = strict
+        self.skipped = 0
+        self._tail = ""
+        self._lineno = 0
+        self._bad: str | None = None
+
+    def feed(self, text: str, final: bool = False) -> list[dict]:
+        """Events of the lines ``text`` completes, in order."""
+        lines = (self._tail + text).split("\n")
+        self._tail = "" if final else lines.pop()
+        events: list[dict] = []
+        for line in lines:
+            self._lineno += 1
             line = line.strip()
             if not line:
                 continue
+            if self._bad:
+                raise ValueError(self._bad)
             try:
                 event = json.loads(line)
                 if not isinstance(event, dict):
                     raise ValueError("event is not a JSON object")
-            except (json.JSONDecodeError, ValueError) as exc:
+            except ValueError as exc:
                 message = getattr(exc, "msg", None) or str(exc)
-                bad.append((lineno, message))
+                self._bad = (f"{self.name}:{self._lineno}: not a JSON "
+                             f"event line ({message})")
+                if self.strict:
+                    raise ValueError(self._bad) from None
+                self.skipped = 1
                 continue
-            if bad:
-                # A malformed line *followed by* a good one is not a
-                # truncated tail -- the file is corrupt.
-                lineno, message = bad[0]
-                raise ValueError(
-                    f"{path}:{lineno}: not a JSON event line "
-                    f"({message})")
             events.append(event)
-    if bad and (strict or len(bad) > 1):
-        # Only a single unparsable *final* line reads as a truncated
-        # tail; anything more is corruption even in tolerant mode.
-        lineno, message = bad[0]
-        raise ValueError(
-            f"{path}:{lineno}: not a JSON event line ({message})")
-    return events, len(bad)
+        return events
+
+
+def load_events(path: str, strict: bool = False,
+                ) -> tuple[list[dict], int]:
+    """``(events, skipped)`` of an events file read through an
+    :class:`EventReader`; ``skipped`` is the truncated final line it
+    tolerated (0 or 1). Raises ``OSError`` when the file cannot be read
+    and ``ValueError`` on a malformed line."""
+    reader = EventReader(path, strict=strict)
+    with open(path, encoding="utf-8") as handle:
+        events = reader.feed(handle.read(), final=True)
+    return events, reader.skipped
 
 
 def read_jsonl(path: str, strict: bool = False) -> list[dict]:

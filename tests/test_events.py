@@ -132,6 +132,14 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match="not a JSON object"):
             read_jsonl(str(path), strict=True)
 
+    def test_reader_holds_back_an_unterminated_tail(self):
+        from repro.obs.events import EventReader
+        reader = EventReader("live.jsonl")
+        assert reader.feed('{"kind": "progress"}\n{"kind": "run_e') == \
+            [{"kind": "progress"}]
+        assert reader.feed('nd"}\n') == [{"kind": "run_end"}]
+        assert reader.skipped == 0
+
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"kind": "progress", "t": 1.0}\n\n')

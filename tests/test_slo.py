@@ -288,11 +288,23 @@ class TestMonitorCli:
     def test_follow_skips_garbage_line(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
         path.write_text('{"kind": "run_start", "t": 0.0, "pairs": 1}\n'
-                        "{garbage\n"
-                        '{"kind": "run_end", "t": 0.5, "failures": 0}\n')
+                        '{"kind": "run_end", "t": 0.5, "failures": 0}\n'
+                        "{garbage\n")
         assert main(["monitor", str(path), "--interval", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "1 truncated line(s) skipped" in out
+
+    def test_follow_and_once_agree_on_interior_garbage(self, tmp_path,
+                                                       capsys):
+        """A cut line *followed by* a good one is corruption in both modes."""
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "run_start", "t": 0.0, "pairs": 1}\n'
+                        '{"kind": "progress", "t": 0.2, "done\n'
+                        '{"kind": "run_end", "t": 0.5, "failures": 0}\n')
+        for mode in (["--once"], ["--interval", "0.01"]):
+            assert main(["monitor", str(path), *mode]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {path}:2: not a JSON event line")
 
     def test_follow_strict_rejects_garbage_line(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
