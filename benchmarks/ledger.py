@@ -19,8 +19,9 @@ bound from ``BENCHMARK.json`` and nothing else tunable. Exit 1 on a
 ``--claim``; exit 2 on a bad ``BASE``, a malformed history or a benchmark
 child that fails. ``ab HEAD`` is the A/A run: it must never read ``gain``
 or ``regressed``. ``lines`` prints the per-package table every record
-stores as ``src_lines``. Stdlib only: imports nothing from ``repro``,
-writes nothing under ``benchmarks/layered/``.
+stores as ``src_lines``, each count beside its change since the newest
+record. Stdlib only: imports nothing from ``repro``, writes nothing
+under ``benchmarks/layered/``.
 """
 
 import argparse
@@ -99,6 +100,22 @@ def src_lines() -> dict[str, int]:
         counts[package] = (counts.get(package, 0)
                            + path.read_bytes().count(b"\n"))
     return {**dict(sorted(counts.items())), "total": sum(counts.values())}
+
+
+def lines_table(history_path: str) -> str:
+    """The per-package ``src/`` line table, each count beside its
+    change since the newest record of the history at ``history_path``
+    (against the ``src_lines`` that record stored; ``n/a`` where it
+    stored none)."""
+    records = load_history(history_path)["records"]
+    stored = (records[-1].get("src_lines") or {}) if records else {}
+    rows = [f"| package | lines | vs record {len(records)} |",
+            "|---|---:|---:|"]
+    for package, count in src_lines().items():
+        delta = (f"{count - stored[package]:+d}" if package in stored
+                 else "n/a")
+        rows.append(f"| {package} | {count} | {delta} |")
+    return "\n".join(rows)
 
 
 def classify(base: list[float], change: list[float], better: str,
@@ -284,6 +301,7 @@ def ab(args: argparse.Namespace, runner=run_benchmark) -> int:
 
 def main(argv: list[str] | None = None, runner=run_benchmark) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    history = os.path.join(ROOT, "results", "BENCH_HISTORY.json")
     verbs = parser.add_subparsers(dest="verb", required=True)
     verbs.add_parser("lines", help="per-package src/repro line table")
     ab_parser = verbs.add_parser(
@@ -298,18 +316,15 @@ def main(argv: list[str] | None = None, runner=run_benchmark) -> int:
     ab_parser.add_argument("--claim", metavar="WORKLOAD.METRIC",
                            help="exit 1 unless this cell reads 'gain'")
     ab_parser.add_argument(
-        "--history", metavar="FILE",
-        default=os.path.join(ROOT, "results", "BENCH_HISTORY.json"),
+        "--history", metavar="FILE", default=history,
         help="history file (default: results/BENCH_HISTORY.json)")
     args = parser.parse_args(argv)
-    if args.verb == "lines":
-        print("| package | lines |\n|---|---:|")
-        for package, count in src_lines().items():
-            print(f"| {package} | {count} |")
-        return 0
-    if args.pairs < 2:
+    if args.verb == "ab" and args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two)")
     try:
+        if args.verb == "lines":
+            print(lines_table(history))
+            return 0
         return ab(args, runner)
     except LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -439,7 +439,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs import events as obs_events
+    from repro.obs import events as obs_events, slo as obs_slo
     outcome_doc = _sniff_outcome(args.events)
     if outcome_doc is not None:
         return _print_outcome_stats(args.events, outcome_doc)
@@ -449,17 +449,14 @@ def cmd_top(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    digest = obs_events.summarize(event_list)
+    index = obs_events.EventIndex(event_list)
+    digest = obs_events.summarize(index)
+    latencies = obs_slo.latency_table(index)
     if getattr(args, "json", False):
         import json as json_mod
-
-        from repro.obs import slo as obs_slo
-        snapshot = obs_slo.monitor_snapshot(event_list, objectives=(),
-                                            window_s=None,
-                                            skipped=skipped)
         document = dict(digest)
         document["skipped_lines"] = skipped
-        document["latencies"] = snapshot["latencies"]
+        document["latencies"] = latencies
         print(json_mod.dumps(document, sort_keys=True))
         return 0
     print(f"events  : {digest['events']}  ({args.events})")
@@ -495,13 +492,10 @@ def cmd_top(args: argparse.Namespace) -> int:
     print("by kind :")
     for kind, count in digest["by_kind"].items():
         print(f"  {kind:<16}{count:>8,}")
-    from repro.obs import slo as obs_slo
-    snapshot = obs_slo.monitor_snapshot(event_list, objectives=(),
-                                        window_s=None)
-    if snapshot["latencies"]:
+    if latencies:
         print()
         print("latency :")
-        for kind, stats in snapshot["latencies"].items():
+        for kind, stats in latencies.items():
             print(f"  {kind:<12} n={stats['count']:<6,} "
                   f"p50={stats['p50']:.4f}s p90={stats['p90']:.4f}s "
                   f"p99={stats['p99']:.4f}s max={stats['max']:.4f}s")
@@ -517,121 +511,74 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monitor_objectives(args: argparse.Namespace):
-    from repro.obs import slo as obs_slo
-    objectives = [] if args.no_default_slos \
-        else list(obs_slo.DEFAULT_SLOS)
-    for spec in args.slo or []:
-        objectives.append(obs_slo.parse_slo(spec))
-    return objectives
+def _watch(args: argparse.Namespace, default_slos, snapshot, render) -> int:
+    """The read loop of ``repro monitor`` and ``repro fleet``: feed the
+    file through one :class:`~repro.obs.events.EventReader` as it
+    grows, and print ``render(snapshot(events, ...))`` whenever the
+    event count changed, until the view reports ``ended`` (or Ctrl-C).
+    ``--once`` is the same loop run for one final read.
 
-
-def cmd_monitor(args: argparse.Namespace) -> int:
+    The reader holds back a partially written tail (the writer flushes
+    whole lines, but reads can race mid-write), so every byte is
+    parsed exactly once however long the stream is followed.
+    """
     import json as json_mod
 
     from repro.obs import events as obs_events, slo as obs_slo
     try:
-        objectives = _monitor_objectives(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.once:
-        try:
-            event_list, skipped = obs_events.load_events(
-                args.events, strict=args.strict)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not event_list:
-            print(f"error: {args.events}: no events", file=sys.stderr)
-            return 2
-        snapshot = obs_slo.monitor_snapshot(
-            event_list, objectives, window_s=args.window,
-            skipped=skipped)
-        if getattr(args, "json", False):
-            print(json_mod.dumps(snapshot, sort_keys=True))
-        else:
-            print(obs_slo.format_monitor(snapshot))
-        return 0
-    # Follow mode: the reader holds back a partially written tail (the
-    # writer flushes whole lines, but reads can race mid-write).
-    try:
+        objectives = [] if args.no_default_slos else list(default_slos)
+        for spec in args.slo or []:
+            objectives.append(obs_slo.parse_slo(spec))
         handle = open(args.events, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reader = obs_events.EventReader(args.events, strict=args.strict)
     event_list: list[dict] = []
     rendered = -1
-    try:
-        while True:
-            try:
-                event_list.extend(reader.feed(handle.read()))
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if len(event_list) != rendered:
-                rendered = len(event_list)
-                snapshot = obs_slo.monitor_snapshot(
-                    event_list, objectives, window_s=args.window,
-                    skipped=reader.skipped)
-                if getattr(args, "json", False):
-                    print(json_mod.dumps(snapshot, sort_keys=True),
-                          flush=True)
-                else:
-                    print(obs_slo.format_monitor(snapshot))
-                    print("---", flush=True)
-                if snapshot["ended"]:
-                    return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        handle.close()
+    with handle:
+        try:
+            while True:
+                try:
+                    event_list.extend(
+                        reader.feed(handle.read(), final=args.once))
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
+                if args.once and not event_list:
+                    print(f"error: {args.events}: no events",
+                          file=sys.stderr)
+                    return 2
+                if len(event_list) != rendered:
+                    rendered = len(event_list)
+                    view = snapshot(event_list, objectives,
+                                    window_s=args.window,
+                                    skipped=reader.skipped)
+                    if args.json:
+                        print(json_mod.dumps(view, sort_keys=True),
+                              flush=True)
+                    else:
+                        print(render(view))
+                        if not args.once:
+                            print("---", flush=True)
+                    if args.once or view.get("ended"):
+                        return 0
+                time.sleep(args.interval)
+        except KeyboardInterrupt:
+            return 0
+
+
+def cmd_monitor(args: argparse.Namespace) -> int:
+    from repro.obs import slo as obs_slo
+    return _watch(args, obs_slo.DEFAULT_SLOS, obs_slo.monitor_snapshot,
+                  obs_slo.format_monitor)
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Per-tenant fleet dashboard over a daemon's event stream."""
-    import json as json_mod
-
-    from repro.obs import events as obs_events, slo as obs_slo
-    try:
-        objectives = ([] if args.no_default_slos
-                      else list(obs_slo.DEFAULT_FLEET_SLOS))
-        for spec in args.slo or []:
-            objectives.append(obs_slo.parse_slo(spec))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rendered = -1
-    while True:
-        try:
-            event_list, skipped = obs_events.load_events(
-                args.events, strict=args.strict)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.once and not event_list:
-            print(f"error: {args.events}: no events", file=sys.stderr)
-            return 2
-        if len(event_list) != rendered:
-            rendered = len(event_list)
-            snapshot = obs_slo.fleet_snapshot(
-                event_list, objectives, window_s=args.window,
-                skipped=skipped)
-            if args.json:
-                print(json_mod.dumps(snapshot, sort_keys=True),
-                      flush=True)
-            else:
-                print(obs_slo.format_fleet(snapshot))
-                if not args.once:
-                    print("---", flush=True)
-        if args.once:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
+    from repro.obs import slo as obs_slo
+    return _watch(args, obs_slo.DEFAULT_FLEET_SLOS, obs_slo.fleet_snapshot,
+                  obs_slo.format_fleet)
 
 
 def cmd_critpath(args: argparse.Namespace) -> int:

@@ -88,6 +88,13 @@ class Observability:
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
     profiler: Profiler = field(default_factory=lambda: NULL_PROFILER)
     events: EventStream = field(default_factory=lambda: NULL_EVENTS)
+    #: Set by :meth:`collector` only: the trace context a worker-side
+    #: context exports its spans under, and their shift onto the
+    #: parent's timeline.
+    _trace_ctx: TraceContext | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _trace_offset_us: float = field(
+        default=0.0, init=False, repr=False, compare=False)
 
     @property
     def enabled(self) -> bool:
@@ -110,9 +117,6 @@ class Observability:
         profiler = Profiler(tracer=tracer) if profile else NULL_PROFILER
         return cls(metrics=MetricsRegistry(), tracer=tracer,
                    profiler=profiler, events=events or NULL_EVENTS)
-
-    # Short aliases used throughout the codebase.
-    enabled_ctx = enabled_context
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -152,11 +156,10 @@ class Observability:
         collectors created with a trace context) for the parent."""
         state = {"metrics": self.metrics.export_state(),
                  "profile": self.profiler.export_state()}
-        trace_ctx = getattr(self, "_trace_ctx", None)
-        if trace_ctx is not None and self.tracer.enabled:
+        if self._trace_ctx is not None and self.tracer.enabled:
             trace = self.tracer.export_spans(
-                offset_us=getattr(self, "_trace_offset_us", 0.0))
-            trace["context"] = trace_ctx.to_dict()
+                offset_us=self._trace_offset_us)
+            trace["context"] = self._trace_ctx.to_dict()
             state["trace"] = trace
         return state
 

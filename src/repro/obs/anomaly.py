@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Iterable
 
+from repro.obs.metrics import parse_metric_key
 from repro.obs.timeseries import Window
 
 #: MAD -> standard-deviation consistency constant for normal data.
@@ -77,16 +78,6 @@ class Alert:
         if self.tenant is not None:
             doc["tenant"] = self.tenant
         return doc
-
-
-def _tenant_of(series: str) -> str | None:
-    start = series.find("{")
-    if start < 0:
-        return None
-    for part in series[start + 1:].rstrip("}").split(","):
-        if part.startswith("tenant="):
-            return part[len("tenant="):]
-    return None
 
 
 class SeriesDetector:
@@ -200,7 +191,7 @@ class AnomalyDetector:
             window_index=index, value=float(value), baseline=baseline,
             deviation=deviation,
             direction="up" if value > baseline else "down",
-            tenant=_tenant_of(series))
+            tenant=dict(parse_metric_key(series)[1]).get("tenant"))
         self.alerts.append(alert)
         return alert
 

@@ -32,6 +32,7 @@ building the field dict would be measurable).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import time
 from collections import deque
@@ -216,35 +217,97 @@ def read_jsonl(path: str, strict: bool = False) -> list[dict]:
     return load_events(path, strict=strict)[0]
 
 
-def summarize(events: list[dict]) -> dict:
+class EventIndex:
+    """An event list grouped by kind in one pass: the one digest every
+    read-side view (``repro top`` / ``monitor`` / ``fleet``, the SLO
+    evaluator) is a projection of.
+
+    Tolerates unknown kinds, partial files (a live run's tail) and
+    streams from older/newer schema revisions; an event without a
+    ``kind`` files under ``"?"``.
+    """
+
+    def __init__(self, events: list[dict]) -> None:
+        self.events = events
+        self._by_kind: dict[str, list[dict]] = {}
+        for event in events:
+            self._by_kind.setdefault(
+                str(event.get("kind", "?")), []).append(event)
+
+    @classmethod
+    def over(cls, events: "list[dict] | EventIndex") -> "EventIndex":
+        """``events`` itself when it already is an index, else a new
+        index of the list (so a projection accepts either, and stacked
+        projections share one pass)."""
+        return events if isinstance(events, cls) else cls(events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def of(self, kind: str) -> list[dict]:
+        """Events of one kind, in stream order."""
+        return self._by_kind.get(kind, [])
+
+    def last(self, *kinds: str) -> dict | None:
+        """Most recent event of the first of ``kinds`` that occurs at
+        all (``last("run_end", "batch_end")``), or None."""
+        for kind in kinds:
+            if kind in self._by_kind:
+                return self._by_kind[kind][-1]
+        return None
+
+    def tally(self) -> dict[str, int]:
+        """Event count per kind, sorted by kind."""
+        return {kind: len(group)
+                for kind, group in sorted(self._by_kind.items())}
+
+    @property
+    def duration_s(self) -> float:
+        """The final event's timestamp (0.0 for an empty stream)."""
+        return float(self.events[-1].get("t", 0.0)) if self.events else 0.0
+
+    @functools.cached_property
+    def now_t(self) -> float:
+        """The stream's latest timestamp (interleaved writers may leave
+        it on an event other than the final one)."""
+        return max((float(e.get("t", 0.0)) for e in self.events),
+                   default=0.0)
+
+    def samples(self, kind: str, field: str,
+                window_s: float | None = None,
+                now_t: float | None = None) -> list[float]:
+        """Numeric ``field`` samples of ``kind`` inside the window
+        ending at ``now_t`` (the stream's latest timestamp by
+        default; ``window_s=None`` takes the whole stream)."""
+        horizon = None
+        if window_s is not None:
+            horizon = (self.now_t if now_t is None else now_t) - window_s
+        samples: list[float] = []
+        for event in self.of(kind):
+            if horizon is not None and float(event.get("t", 0.0)) < horizon:
+                continue
+            value = event.get(field)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                samples.append(float(value))
+        return samples
+
+
+def summarize(events: "list[dict] | EventIndex") -> dict:
     """Digest an event list into the ``repro top`` dashboard fields.
 
     Tolerates unknown kinds, partial files (a live run's tail) and
     streams from older/newer schema revisions.
     """
-    by_kind: dict[str, int] = {}
-    for event in events:
-        kind = str(event.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
-    def last(kind: str) -> dict | None:
-        for event in reversed(events):
-            if event.get("kind") == kind:
-                return event
-        return None
-
-    progress = last("progress")
-    heartbeat = last("heartbeat")
-    quarantines = [e for e in events if e.get("kind") == "quarantine"]
+    index = EventIndex.over(events)
     return {
-        "events": len(events),
-        "by_kind": dict(sorted(by_kind.items())),
-        "duration_s": float(events[-1].get("t", 0.0)) if events else 0.0,
-        "schema": next((e.get("schema") for e in events
-                        if e.get("kind") == "stream_start"), None),
-        "progress": progress,
-        "heartbeat": heartbeat,
-        "quarantines": quarantines,
-        "run_start": last("run_start") or last("batch_start"),
-        "run_end": last("run_end") or last("batch_end"),
+        "events": len(index),
+        "by_kind": index.tally(),
+        "duration_s": index.duration_s,
+        "schema": next((e.get("schema") for e in index.of("stream_start")),
+                       None),
+        "progress": index.last("progress"),
+        "heartbeat": index.last("heartbeat"),
+        "quarantines": index.of("quarantine"),
+        "run_start": index.last("run_start", "batch_start"),
+        "run_end": index.last("run_end", "batch_end"),
     }

@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.core.atomicio import atomic_write_text
-from repro.obs.metrics import MetricsRegistry, parse_metric_key
+from repro.obs.metrics import LabelKey, MetricsRegistry
 
 #: Namespace every rendered metric is prefixed with.
 NAMESPACE = "smx"
@@ -74,7 +74,6 @@ def escape_label_value(value: str) -> str:
 
 def unescape_label_value(value: str) -> str:
     out: list[str] = []
-    it = iter(range(len(value)))
     i = 0
     while i < len(value):
         ch = value[i]
@@ -91,7 +90,6 @@ def unescape_label_value(value: str) -> str:
             continue
         out.append(ch)
         i += 1
-    del it
     return "".join(out)
 
 
@@ -105,12 +103,11 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _label_str(labels: dict[str, str]) -> str:
+def _label_str(labels: LabelKey) -> str:
     if not labels:
         return ""
-    inner = ",".join(
-        f'{_INVALID.sub("_", k)}="{escape_label_value(str(v))}"'
-        for k, v in sorted(labels.items()))
+    inner = ",".join(f'{_INVALID.sub("_", k)}="{escape_label_value(v)}"'
+                     for k, v in labels)
     return "{" + inner + "}"
 
 
@@ -121,51 +118,37 @@ def render_registry(registry: MetricsRegistry) -> str:
     ``# TYPE`` line; counters are cumulative (scrape-to-scrape
     monotone), distributions render as summaries.
     """
-    state = registry.export_state()
     families: dict[str, dict] = {}
 
-    def family(dotted: str, kind: str) -> dict:
-        suffix = "_total" if kind == "counter" else ""
-        name = metric_name(dotted, suffix)
-        entry = families.setdefault(
-            name, {"type": kind, "samples": []})
-        return entry
+    def samples(name: str, kind: str) -> list:
+        return families.setdefault(
+            name, {"type": kind, "samples": []})["samples"]
 
-    for key, value in (state.get("counters") or {}).items():
-        dotted, labels = parse_metric_key(key)
-        entry = family(dotted, "counter")
-        entry["samples"].append(
-            (metric_name(dotted, "_total"), dict(labels), float(value)))
-    for key, value in (state.get("gauges") or {}).items():
-        dotted, labels = parse_metric_key(key)
-        entry = family(dotted, "gauge")
-        entry["samples"].append(
-            (metric_name(dotted), dict(labels), float(value)))
-    for key, summary in (state.get("distributions") or {}).items():
-        dotted, labels = parse_metric_key(key)
-        entry = family(dotted, "summary")
+    # The scrape thread renders while the daemon's loop may be creating
+    # instruments: take the walk in one go before formatting anything.
+    # Label keys arrive sorted, as the registry holds them.
+    for kind, dotted, labels, instrument in list(registry.items()):
+        if kind != "distribution":
+            name = metric_name(dotted, "_total" if kind == "counter" else "")
+            samples(name, kind).append(
+                (name, labels, float(instrument.value)))
+            continue
         base = metric_name(dotted)
-        label_map = dict(labels)
+        family = samples(base, "summary")
+        summary = instrument.summary()
         for q, field in zip(SUMMARY_QUANTILES, ("p50", "p90", "p99")):
-            quantile = summary.get(field)
-            if quantile is None:
-                continue
-            entry["samples"].append(
-                (base, {**label_map, "quantile": f"{q:g}"},
-                 float(quantile)))
-        entry["samples"].append(
-            (base + "_sum", label_map, float(summary.get("total", 0.0))))
-        entry["samples"].append(
-            (base + "_count", label_map,
-             float(summary.get("count", 0))))
+            if summary[field] is not None:
+                family.append(
+                    (base, tuple(sorted(labels + (("quantile", f"{q:g}"),))),
+                     float(summary[field])))
+        family.append((base + "_sum", labels, float(summary["total"])))
+        family.append((base + "_count", labels, float(summary["count"])))
 
     lines: list[str] = []
     for name in sorted(families):
-        entry = families[name]
-        lines.append(f"# TYPE {name} {entry['type']}")
+        lines.append(f"# TYPE {name} {families[name]['type']}")
         for sample_name, labels, value in sorted(
-                entry["samples"],
-                key=lambda s: (s[0], sorted(s[1].items()))):
+                families[name]["samples"], key=lambda sample: sample[:2]):
             lines.append(f"{sample_name}{_label_str(labels)} "
                          f"{_format_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")

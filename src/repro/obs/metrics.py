@@ -50,17 +50,10 @@ def parse_metric_key(key: str) -> tuple[str, LabelKey]:
 
 
 def _apply_labels(labels: LabelKey,
-                  extra: dict[str, object] | None) -> LabelKey:
-    """Fold ``extra`` labels into a parsed label key (existing label
+                  extra: dict[str, object] | None) -> dict[str, object]:
+    """Fold ``extra`` labels under a parsed label key (existing label
     names win, so a worker that already stamped ``tenant`` keeps it)."""
-    if not extra:
-        return labels
-    present = {k for k, _ in labels}
-    merged = dict(labels)
-    for k, v in extra.items():
-        if k not in present:
-            merged[k] = str(v)
-    return tuple(sorted(merged.items()))
+    return {**(extra or {}), **dict(labels)}
 
 
 @dataclass
@@ -174,6 +167,16 @@ class Distribution:
         return state
 
 
+#: One row per instrument kind, in walk order: the class a kind's table
+#: holds and how :meth:`MetricsRegistry.merge_state` combines a worker's
+#: value into it -- counters *add*, gauges *overwrite*, distributions
+#: *fold*. A kind's name is also the name of its lookup method, and
+#: :meth:`MetricsRegistry.export_state` files kind ``k`` under ``k + "s"``.
+_KINDS = {"counter": (Counter, Counter.inc),
+          "gauge": (Gauge, Gauge.set),
+          "distribution": (Distribution, Distribution.merge)}
+
+
 class MetricsRegistry:
     """Process-wide (or run-scoped) home of every instrument.
 
@@ -185,36 +188,49 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self) -> None:
-        self._counters: dict[tuple[str, LabelKey], Counter] = {}
-        self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
-        self._distributions: dict[tuple[str, LabelKey], Distribution] = {}
+        self._tables: dict[str, dict[tuple[str, LabelKey], object]] = {
+            kind: {} for kind in _KINDS}
 
     # -- instrument lookup --------------------------------------------------
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, _label_key(labels))
-        instrument = self._counters.get(key)
+    def _instrument(self, kind: str, name: str, labels: dict[str, object]):
+        """The ``kind`` instrument at ``name`` + ``labels``, created on
+        first use: the one place a table is written (lookups and
+        merges both land here)."""
+        table, key = self._tables[kind], (name, _label_key(labels))
+        instrument = table.get(key)
         if instrument is None:
-            instrument = self._counters[key] = Counter()
+            instrument = table[key] = _KINDS[kind][0]()
         return instrument
+
+    def counter(self, name: str, **labels: object) -> Counter:
+        return self._instrument("counter", name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, _label_key(labels))
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+        return self._instrument("gauge", name, labels)
 
     def distribution(self, name: str, **labels: object) -> Distribution:
-        key = (name, _label_key(labels))
-        instrument = self._distributions.get(key)
-        if instrument is None:
-            instrument = self._distributions[key] = Distribution()
-        return instrument
+        return self._instrument("distribution", name, labels)
 
-    def scope(self, prefix: str) -> "ScopedRegistry":
+    def scope(self, prefix: str) -> "RegistryView":
         """A view that prefixes every metric name with ``prefix.``."""
-        return ScopedRegistry(self, prefix)
+        return RegistryView(self, prefix)
+
+    # -- the walk -----------------------------------------------------------
+
+    def items(self, *kinds: str):
+        """Every instrument as ``(kind, name, labels, instrument)``:
+        counters, then gauges, then distributions (or only ``kinds``),
+        each in creation order.
+
+        This is the one walk over the instrument tables: snapshots,
+        state export, window drains, the time-series sampler and the
+        Prometheus renderer all read the registry through it, with the
+        labels still the ``(key, value)`` tuples the registry holds.
+        """
+        for kind in kinds or _KINDS:
+            for (name, labels), instrument in self._tables[kind].items():
+                yield kind, name, labels, instrument
 
     # -- snapshots ----------------------------------------------------------
 
@@ -224,14 +240,10 @@ class MetricsRegistry:
         Counters and gauges map their key to a number; distributions
         map to a ``{count, total, mean, min, max}`` summary.
         """
-        out: dict = {}
-        for (name, labels), c in self._counters.items():
-            out[metric_key(name, labels)] = c.value
-        for (name, labels), g in self._gauges.items():
-            out[metric_key(name, labels)] = g.value
-        for (name, labels), d in self._distributions.items():
-            out[metric_key(name, labels)] = d.summary()
-        return out
+        return {metric_key(name, labels):
+                instrument.summary() if kind == "distribution"
+                else instrument.value
+                for kind, name, labels, instrument in self.items()}
 
     def export_state(self) -> dict:
         """Typed, pickle/JSON-safe state for cross-process transfer.
@@ -241,15 +253,12 @@ class MetricsRegistry:
         so :meth:`merge_state` can apply the right combination rule to
         each: counters *add*, gauges *overwrite*, distributions *fold*.
         """
-        return {
-            "counters": {metric_key(n, l): c.value
-                         for (n, l), c in self._counters.items()},
-            "gauges": {metric_key(n, l): g.value
-                       for (n, l), g in self._gauges.items()},
-            "distributions": {metric_key(n, l): d.export_state()
-                              for (n, l), d in
-                              self._distributions.items()},
-        }
+        state: dict[str, dict] = {f"{kind}s": {} for kind in _KINDS}
+        for kind, name, labels, instrument in self.items():
+            state[f"{kind}s"][metric_key(name, labels)] = (
+                instrument.export_state() if kind == "distribution"
+                else instrument.value)
+        return state
 
     def merge_state(self, state: dict,
                     extra_labels: dict[str, object] | None = None) -> None:
@@ -260,31 +269,15 @@ class MetricsRegistry:
         own (separate) registry. ``extra_labels`` are stamped onto
         every merged key that does not already carry them -- the hook
         the supervisor uses to relabel a worker's ``exec.*`` state
-        with the job's tenant.
+        with the job's tenant. A disabled registry merges nothing.
         """
-        if not state:
+        if not state or not self.enabled:
             return
-        for key, value in (state.get("counters") or {}).items():
-            name, labels = parse_metric_key(key)
-            lookup = (name, _apply_labels(labels, extra_labels))
-            counter = self._counters.get(lookup)
-            if counter is None:
-                counter = self._counters[lookup] = Counter()
-            counter.inc(value)
-        for key, value in (state.get("gauges") or {}).items():
-            name, labels = parse_metric_key(key)
-            lookup = (name, _apply_labels(labels, extra_labels))
-            gauge = self._gauges.get(lookup)
-            if gauge is None:
-                gauge = self._gauges[lookup] = Gauge()
-            gauge.set(value)
-        for key, summary in (state.get("distributions") or {}).items():
-            name, labels = parse_metric_key(key)
-            lookup = (name, _apply_labels(labels, extra_labels))
-            dist = self._distributions.get(lookup)
-            if dist is None:
-                dist = self._distributions[lookup] = Distribution()
-            dist.merge(summary)
+        for kind, (_, fold) in _KINDS.items():
+            for key, value in (state.get(f"{kind}s") or {}).items():
+                name, labels = parse_metric_key(key)
+                fold(self._instrument(
+                    kind, name, _apply_labels(labels, extra_labels)), value)
 
     def drain_windows(self) -> dict[str, dict]:
         """Drain every distribution's window digest (see
@@ -292,7 +285,7 @@ class MetricsRegistry:
         Only distributions that saw samples since the last drain
         appear; each value is a digest ``export_state`` dict."""
         out: dict[str, dict] = {}
-        for (name, labels), dist in self._distributions.items():
+        for _, name, labels, dist in self.items("distribution"):
             taken = dist.take_window()
             if taken is not None:
                 out[metric_key(name, labels)] = taken.export_state()
@@ -328,86 +321,49 @@ class MetricsRegistry:
         return out
 
 
-class ScopedRegistry:
-    """A named subtree of a registry (``scope("coproc").counter("x")``
-    touches ``coproc.x``). Snapshots always go through the root."""
+class RegistryView(MetricsRegistry):
+    """A registry seen through a name prefix and/or fixed labels.
 
-    def __init__(self, root: MetricsRegistry, prefix: str) -> None:
-        self._root = root
-        self._prefix = prefix
-
-    @property
-    def enabled(self) -> bool:
-        return self._root.enabled
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self._root.counter(f"{self._prefix}.{name}", **labels)
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._root.gauge(f"{self._prefix}.{name}", **labels)
-
-    def distribution(self, name: str, **labels: object) -> Distribution:
-        return self._root.distribution(f"{self._prefix}.{name}", **labels)
-
-    def scope(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self._root, f"{self._prefix}.{prefix}")
-
-
-class LabeledRegistry:
-    """A registry view that stamps fixed labels onto every instrument.
-
-    ``LabeledRegistry(root, tenant="acme").counter("service.jobs")``
+    ``RegistryView(root, "coproc").counter("x")`` touches ``coproc.x``
+    (a named subtree: what :meth:`MetricsRegistry.scope` returns);
+    ``RegistryView(root, tenant="acme").counter("service.jobs")``
     touches ``service.jobs{tenant=acme}``; call-site labels win over
-    the view's on collision. Composes with :class:`ScopedRegistry`
-    (scoping a labeled view keeps the labels). This is how one
-    tenant's supervised run splits ``exec.*`` / ``resilience.*``
-    series without every call site knowing about tenancy.
+    the view's on collision. The two compose (``scope`` of a view is a
+    view of that view), which is how one tenant's supervised run
+    splits ``exec.*`` / ``resilience.*`` series without every call
+    site knowing about tenancy.
+
+    A view holds no instruments: its lookups and its walk are its
+    root's, so every read it inherits (snapshots, state export, window
+    drains) reports the shared root. :data:`ScopedRegistry` and
+    :data:`LabeledRegistry` are this class under its two older names.
     """
 
-    def __init__(self, root, **labels: object) -> None:
+    def __init__(self, root, prefix: str = "", /, **labels: object) -> None:
         self._root = root
+        self._prefix = prefix
         self._labels = {k: str(v) for k, v in labels.items()}
 
     @property
     def enabled(self) -> bool:
         return self._root.enabled
 
-    def _merged(self, labels: dict) -> dict:
-        merged = dict(self._labels)
-        merged.update(labels)
-        return merged
+    def _instrument(self, kind: str, name: str, labels: dict[str, object]):
+        if self._prefix:
+            name = f"{self._prefix}.{name}"
+        return getattr(self._root, kind)(name, **{**self._labels, **labels})
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self._root.counter(name, **self._merged(labels))
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._root.gauge(name, **self._merged(labels))
-
-    def distribution(self, name: str, **labels: object) -> Distribution:
-        return self._root.distribution(name, **self._merged(labels))
-
-    def scope(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self, prefix)
-
-    # Snapshots and state transfer go through the (shared) root.
-
-    def snapshot(self) -> dict:
-        return self._root.snapshot()
-
-    def diff(self, before: dict) -> dict:
-        return self._root.diff(before)
-
-    def export_state(self) -> dict:
-        return self._root.export_state()
+    def items(self, *kinds: str):
+        return self._root.items(*kinds)
 
     def merge_state(self, state: dict,
                     extra_labels: dict[str, object] | None = None) -> None:
-        merged = dict(self._labels)
-        merged.update(extra_labels or {})
-        self._root.merge_state(state, extra_labels=merged)
+        # The prefix applies to lookups only: merged keys are full names.
+        self._root.merge_state(
+            state, extra_labels={**self._labels, **(extra_labels or {})})
 
-    def drain_windows(self) -> dict[str, dict]:
-        return self._root.drain_windows()
+
+ScopedRegistry = LabeledRegistry = RegistryView
 
 
 class _NullCounter(Counter):
@@ -431,7 +387,8 @@ class _NullDistribution(Distribution):
 
 class NullRegistry(MetricsRegistry):
     """Disabled registry: every lookup returns a shared no-op
-    instrument and snapshots are empty."""
+    instrument, so its tables stay empty and every inherited read
+    (snapshots, walks, drains) comes back empty."""
 
     enabled = False
 
@@ -449,22 +406,6 @@ class NullRegistry(MetricsRegistry):
 
     def distribution(self, name: str, **labels: object) -> Distribution:
         return self._null_distribution
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def diff(self, before: dict) -> dict:
-        return {}
-
-    def export_state(self) -> dict:
-        return {}
-
-    def merge_state(self, state: dict,
-                    extra_labels: dict[str, object] | None = None) -> None:
-        pass
-
-    def drain_windows(self) -> dict[str, dict]:
-        return {}
 
 
 #: Shared disabled registry -- the library-wide default.

@@ -29,6 +29,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from repro.obs.events import EventIndex
+
 #: Event kinds carrying a latency field the monitor tracks by default.
 LATENCY_KINDS = (("shard_done", "elapsed_s"), ("unit_done", "elapsed_s"),
                  ("batch_end", "elapsed_s"))
@@ -118,24 +120,28 @@ def _sample_quantile(samples: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def _windowed(events: list[dict], kind: str, field_name: str,
-              window_s: float | None, now_t: float | None) -> list[float]:
-    """Numeric ``field`` samples of ``kind`` inside the window ending
-    at ``now_t`` (the stream's latest timestamp by default)."""
-    if now_t is None:
-        now_t = max((float(e.get("t", 0.0)) for e in events),
-                    default=0.0)
-    horizon = now_t - window_s if window_s is not None else None
-    samples: list[float] = []
-    for event in events:
-        if event.get("kind") != kind:
-            continue
-        if horizon is not None and float(event.get("t", 0.0)) < horizon:
-            continue
-        value = event.get(field_name)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            samples.append(float(value))
-    return samples
+def _percentiles(samples: list[float]) -> dict | None:
+    """``{count, p50, p90, p99}`` of a sample list (None when empty):
+    the latency row of both dashboards."""
+    if not samples:
+        return None
+    return {"count": len(samples),
+            "p50": _sample_quantile(samples, 0.50),
+            "p90": _sample_quantile(samples, 0.90),
+            "p99": _sample_quantile(samples, 0.99)}
+
+
+def latency_table(events: "list[dict] | EventIndex",
+                  window_s: float | None = None) -> dict[str, dict]:
+    """Rolling ``{count, p50, p90, p99, max}`` per tracked latency
+    kind (:data:`LATENCY_KINDS`; kinds without samples are omitted)."""
+    index = EventIndex.over(events)
+    table = {}
+    for kind, field_name in LATENCY_KINDS:
+        samples = index.samples(kind, field_name, window_s)
+        if samples:
+            table[kind] = {**_percentiles(samples), "max": max(samples)}
+    return table
 
 
 class SLOEvaluator:
@@ -144,7 +150,7 @@ class SLOEvaluator:
     def __init__(self, objectives=DEFAULT_SLOS) -> None:
         self.objectives = tuple(objectives)
 
-    def evaluate(self, events: list[dict],
+    def evaluate(self, events: "list[dict] | EventIndex",
                  now_t: float | None = None) -> list[dict]:
         """Per-objective report dicts (one per objective, in order).
 
@@ -155,41 +161,39 @@ class SLOEvaluator:
         breaches) and ``status`` (``"ok"`` / ``"breach"`` /
         ``"no-data"``).
         """
+        index = EventIndex.over(events)
         reports = []
         for objective in self.objectives:
-            samples = _windowed(events, objective.kind, objective.field,
-                                objective.window_s, now_t)
+            samples = index.samples(objective.kind, objective.field,
+                                    objective.window_s, now_t)
+            budget = objective.budget
+            report = {
+                "name": objective.name,
+                "spec": objective.describe(),
+                "samples": len(samples), "achieved": None,
+                "target": objective.target, "breaches": 0,
+                "breach_fraction": 0.0, "budget": budget,
+                "burn_rate": None, "status": "no-data"}
+            reports.append(report)
             if not samples:
-                reports.append({
-                    "name": objective.name,
-                    "spec": objective.describe(),
-                    "samples": 0, "achieved": None,
-                    "target": objective.target, "breaches": 0,
-                    "breach_fraction": 0.0, "budget": objective.budget,
-                    "burn_rate": None, "status": "no-data"})
                 continue
             achieved = _sample_quantile(samples,
                                         objective.percentile / 100.0)
             breaches = sum(1 for s in samples if s > objective.target)
             fraction = breaches / len(samples)
-            budget = objective.budget
             if budget > 0:
                 burn = fraction / budget
             else:
                 burn = math.inf if breaches else 0.0
-            reports.append({
-                "name": objective.name,
-                "spec": objective.describe(),
-                "samples": len(samples), "achieved": achieved,
-                "target": objective.target, "breaches": breaches,
-                "breach_fraction": fraction, "budget": budget,
-                "burn_rate": burn,
-                "status": "breach" if achieved > objective.target
-                else "ok"})
+            report.update(
+                achieved=achieved, breaches=breaches,
+                breach_fraction=fraction, burn_rate=burn,
+                status="breach" if achieved > objective.target else "ok")
         return reports
 
 
-def monitor_snapshot(events: list[dict], objectives=DEFAULT_SLOS,
+def monitor_snapshot(events: "list[dict] | EventIndex",
+                     objectives=DEFAULT_SLOS,
                      window_s: float | None = 60.0,
                      skipped: int = 0) -> dict:
     """Digest an event list into the ``repro monitor`` dashboard.
@@ -197,18 +201,11 @@ def monitor_snapshot(events: list[dict], objectives=DEFAULT_SLOS,
     Tolerates partial streams (a live run's tail): every section
     renders from whatever events exist so far.
     """
-    def last(kind: str) -> dict | None:
-        for event in reversed(events):
-            if event.get("kind") == kind:
-                return event
-        return None
-
-    run_start = last("run_start") or last("batch_start")
-    run_end = last("run_end") or last("batch_end")
-    heartbeat = last("heartbeat")
-    progress = last("progress")
-    queue_event = last("queue")
-    alerts = [e for e in events if e.get("kind") == "alert"]
+    index = EventIndex.over(events)
+    run_start = index.last("run_start", "batch_start")
+    heartbeat = index.last("heartbeat")
+    progress = index.last("progress")
+    queue_event = index.last("queue")
 
     done = total = failures = queued = None
     if heartbeat is not None:
@@ -223,9 +220,7 @@ def monitor_snapshot(events: list[dict], objectives=DEFAULT_SLOS,
         total = run_start.get("pairs")
 
     routes: dict[str, int] = {}
-    for event in events:
-        if event.get("kind") != "plan":
-            continue
+    for event in index.of("plan"):
         for key, value in event.items():
             if key in _PLAN_ENVELOPE:
                 continue
@@ -233,52 +228,33 @@ def monitor_snapshot(events: list[dict], objectives=DEFAULT_SLOS,
                     not isinstance(value, bool):
                 routes[key] = routes.get(key, 0) + int(value)
 
-    latencies = {}
-    for kind, field_name in LATENCY_KINDS:
-        samples = _windowed(events, kind, field_name, window_s, None)
-        if not samples:
-            continue
-        latencies[kind] = {
-            "count": len(samples),
-            "p50": _sample_quantile(samples, 0.50),
-            "p90": _sample_quantile(samples, 0.90),
-            "p99": _sample_quantile(samples, 0.99),
-            "max": max(samples)}
-
     faults: dict[str, int] = {}
-    for event in events:
-        if event.get("kind") == "fault":
-            fault = str(event.get("fault", "?"))
-            faults[fault] = faults.get(fault, 0) + 1
-
-    shed_pairs = sum(int(e.get("pairs", 0)) for e in events
-                     if e.get("kind") == "shed")
-    quarantined = sum(1 for e in events
-                      if e.get("kind") == "quarantine")
-    retries = sum(1 for e in events if e.get("kind") == "retry")
-    bisections = sum(1 for e in events if e.get("kind") == "bisect")
+    for event in index.of("fault"):
+        fault = str(event.get("fault", "?"))
+        faults[fault] = faults.get(fault, 0) + 1
 
     return {
-        "events": len(events),
+        "events": len(index),
         "skipped_lines": skipped,
         "run_id": (run_start or {}).get("run_id"),
         "backend": (run_start or {}).get("backend"),
-        "duration_s": float(events[-1].get("t", 0.0)) if events else 0.0,
+        "duration_s": index.duration_s,
         "done": done, "total": total,
         "failures": failures, "queued": queued,
         "routes": dict(sorted(routes.items())),
-        "latencies": latencies,
+        "latencies": latency_table(index, window_s),
         "faults": dict(sorted(faults.items())),
-        "shed_pairs": shed_pairs,
-        "quarantined": quarantined,
-        "retries": retries,
-        "bisections": bisections,
+        "shed_pairs": sum(int(e.get("pairs", 0))
+                          for e in index.of("shed")),
+        "quarantined": len(index.of("quarantine")),
+        "retries": len(index.of("retry")),
+        "bisections": len(index.of("bisect")),
         "queue_depth": (int(queue_event.get("depth", 0))
                         if queue_event is not None else None),
         "queue_tenants": dict((queue_event or {}).get("tenants") or {}),
-        "alerts": len(alerts),
-        "slos": SLOEvaluator(objectives).evaluate(events),
-        "ended": run_end is not None,
+        "alerts": len(index.of("alert")),
+        "slos": SLOEvaluator(objectives).evaluate(index),
+        "ended": index.last("run_end", "batch_end") is not None,
     }
 
 
@@ -303,7 +279,8 @@ def split_by_tenant(events: list[dict]) -> dict[str, list[dict]]:
     return lanes
 
 
-def fleet_snapshot(events: list[dict], objectives=DEFAULT_FLEET_SLOS,
+def fleet_snapshot(events: "list[dict] | EventIndex",
+                   objectives=DEFAULT_FLEET_SLOS,
                    window_s: float | None = None,
                    skipped: int = 0, max_alerts: int = 10) -> dict:
     """Digest a daemon's event stream into the ``repro fleet`` view:
@@ -315,53 +292,40 @@ def fleet_snapshot(events: list[dict], objectives=DEFAULT_FLEET_SLOS,
     inside another's headroom. ``window_s`` (None = whole stream)
     restricts latency/SLO accounting to the trailing window.
     """
-    now_t = max((float(e.get("t", 0.0)) for e in events), default=0.0)
-    lanes = split_by_tenant(events)
-    queue_event = None
-    for event in reversed(events):
-        if event.get("kind") == "queue":
-            queue_event = event
-            break
-    queue_tenants = dict((queue_event or {}).get("tenants") or {})
-    alerts = [e for e in events if e.get("kind") == "alert"]
+    index = EventIndex.over(events)
+    now_t = index.now_t
+    lanes = {tenant: EventIndex(lane) for tenant, lane
+             in split_by_tenant(index.events).items()}
+    queue_event = index.last("queue") or {}
+    queue_tenants = dict(queue_event.get("tenants") or {})
+    alerts = index.of("alert")
 
     tenants: dict[str, dict] = {}
-    names = sorted(set(lanes) | set(queue_tenants)
-                   | {str(a["tenant"]) for a in alerts
-                      if a.get("tenant") is not None})
     evaluator = SLOEvaluator(objectives)
-    for tenant in names:
-        slice_ = lanes.get(tenant, [])
-        jobs = {verdict: sum(1 for e in slice_
-                             if e.get("kind") == f"job_{verdict}")
-                for verdict in ("done", "failed", "rejected")}
-        samples = _windowed(slice_, "job_done", "elapsed_s",
-                            window_s, now_t)
-        latency = None
-        if samples:
-            latency = {"count": len(samples),
-                       "p50": _sample_quantile(samples, 0.50),
-                       "p90": _sample_quantile(samples, 0.90),
-                       "p99": _sample_quantile(samples, 0.99)}
-        tenant_alerts = [a for a in alerts
-                         if str(a.get("tenant")) == tenant]
+    idle = EventIndex([])  # a tenant only the queue event names
+    # An alert that names a tenant sits in that tenant's lane, so the
+    # lanes and the queue event between them name every tenant.
+    for tenant in sorted(set(lanes) | set(queue_tenants)):
+        lane = lanes.get(tenant, idle)
         tenants[tenant] = {
-            "jobs": jobs,
-            "latency": latency,
+            "jobs": {verdict: len(lane.of(f"job_{verdict}"))
+                     for verdict in ("done", "failed", "rejected")},
+            "latency": _percentiles(
+                lane.samples("job_done", "elapsed_s", window_s, now_t)),
             "queue_depth": int(queue_tenants.get(tenant, 0)),
-            "alerts": len(tenant_alerts),
-            "slos": evaluator.evaluate(slice_, now_t),
+            "alerts": len(lane.of("alert")),
+            "slos": evaluator.evaluate(lane, now_t),
         }
 
     recent = [{key: value for key, value in alert.items()
                if key not in ("seq",)}
               for alert in alerts[-max_alerts:]]
     return {
-        "events": len(events),
+        "events": len(index),
         "skipped_lines": skipped,
         "duration_s": now_t,
         "tenants": tenants,
-        "queue_depth": int((queue_event or {}).get("depth", 0)),
+        "queue_depth": int(queue_event.get("depth", 0)),
         "alerts": len(alerts),
         "recent_alerts": recent,
     }
@@ -397,16 +361,7 @@ def format_fleet(snapshot: dict) -> str:
                 f"p90={_fmt_s(latency['p90'])} "
                 f"p99={_fmt_s(latency['p99'])}")
         for report in info.get("slos") or []:
-            marker = {"ok": "OK ", "breach": "!! ",
-                      "no-data": "-- "}.get(report["status"], "?? ")
-            burn = report["burn_rate"]
-            detail = (f"achieved={_fmt_s(report['achieved'])} "
-                      f"target={_fmt_s(report['target'])} "
-                      f"n={report['samples']}")
-            if burn is not None:
-                detail += (f" burn={burn:.2f}x"
-                           if burn != math.inf else " burn=inf")
-            lines.append(f"  slo {marker}{report['name']:<20} {detail}")
+            lines.append("  " + _slo_line(report, 20))
     for alert in snapshot.get("recent_alerts") or []:
         lines.append(
             f"alert  w{alert.get('window_index')} "
@@ -423,6 +378,18 @@ def _fmt_s(value: float | None) -> str:
     if value >= 1.0:
         return f"{value:.3f}s"
     return f"{value * 1e3:.2f}ms"
+
+
+def _slo_line(report: dict, width: int) -> str:
+    """One objective's status line, its name padded to ``width``."""
+    marker = {"ok": "OK ", "breach": "!! ",
+              "no-data": "-- "}.get(report["status"], "?? ")
+    burn = report["burn_rate"]
+    detail = (f"achieved={_fmt_s(report['achieved'])} "
+              f"target={_fmt_s(report['target'])} n={report['samples']}")
+    if burn is not None:
+        detail += f" burn={burn:.2f}x" if burn != math.inf else " burn=inf"
+    return f"slo {marker}{report['name']:<{width}} {detail}"
 
 
 def format_monitor(snapshot: dict) -> str:
@@ -480,15 +447,5 @@ def format_monitor(snapshot: dict) -> str:
     if counts:
         lines.append("health   " + "  ".join(counts))
     for report in snapshot.get("slos") or []:
-        status = report["status"]
-        marker = {"ok": "OK ", "breach": "!! ",
-                  "no-data": "-- "}.get(status, "?? ")
-        achieved = report["achieved"]
-        burn = report["burn_rate"]
-        detail = (f"achieved={_fmt_s(achieved)} target="
-                  f"{_fmt_s(report['target'])} n={report['samples']}")
-        if burn is not None:
-            detail += (f" burn={burn:.2f}x"
-                       if burn != math.inf else " burn=inf")
-        lines.append(f"slo {marker}{report['name']:<24} {detail}")
+        lines.append(_slo_line(report, 24))
     return "\n".join(lines)

@@ -46,7 +46,11 @@ from typing import Callable, Iterable
 
 from repro.core.atomicio import atomic_write_json
 from repro.obs.digest import LatencyDigest
-from repro.obs.metrics import MetricsRegistry, parse_metric_key
+from repro.obs.metrics import (
+    MetricsRegistry,
+    metric_key,
+    parse_metric_key,
+)
 
 #: Schema tag of a persisted store document.
 SCHEMA = "smx-timeseries/1"
@@ -233,12 +237,11 @@ class TimeSeriesStore:
         return [window]
 
     def _counter_values(self, registry: MetricsRegistry) -> dict[str, float]:
-        state = registry.export_state()
-        return dict(state.get("counters") or {})
+        return {metric_key(name, labels): counter.value
+                for _, name, labels, counter in registry.items("counter")}
 
     def _seal(self, registry: MetricsRegistry, index: int) -> Window:
-        state = registry.export_state()
-        counters = dict(state.get("counters") or {})
+        counters = self._counter_values(registry)
         deltas = {}
         for key, value in counters.items():
             delta = value - self._last_counters.get(key, 0.0)
@@ -250,7 +253,8 @@ class TimeSeriesStore:
             start=self._boundary(index),
             end=self._boundary(index + 1),
             counters=deltas,
-            gauges=dict(state.get("gauges") or {}),
+            gauges={metric_key(name, labels): gauge.value
+                    for _, name, labels, gauge in registry.items("gauge")},
             digests=registry.drain_windows())
         self._append(window)
         return window

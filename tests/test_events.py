@@ -3,14 +3,18 @@ its wiring into the batch and supervised engines."""
 
 import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import dna_edit_config
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.obs import Observability
 from repro.obs.events import (
+    EventIndex,
     EventStream,
     KINDS,
     NULL_EVENTS,
@@ -80,9 +84,15 @@ class TestEventStream:
         assert not NULL_EVENTS.enabled
 
     def test_known_kinds_cover_engine_emissions(self):
-        for kind in ("batch_start", "progress", "batch_end",
-                     "quarantine", "heartbeat"):
-            assert kind in KINDS
+        """``KINDS`` is, by construction, exactly the kinds ``src/``
+        emits: every ``emit("<kind>"`` / ``_emit("<kind>"`` literal."""
+        src = pathlib.Path(repro.__file__).parent
+        emitted = set()
+        for path in src.rglob("*.py"):
+            emitted.update(re.findall(r'\b_?emit\(\s*"(\w+)"',
+                                      path.read_text(encoding="utf-8")))
+        assert emitted == set(KINDS)
+        assert len(KINDS) == len(set(KINDS))
 
 
 class TestJsonlRoundTrip:
@@ -167,6 +177,60 @@ class TestSummarize:
         partial = summarize([{"kind": "progress", "t": 1.5, "done": 1}])
         assert partial["duration_s"] == 1.5
         assert partial["run_end"] is None
+
+
+class TestEventIndex:
+    EVENTS = [
+        {"t": 0.0, "kind": "batch_start", "pairs": 4},
+        {"t": 1.0, "kind": "unit_done", "elapsed_s": 0.5},
+        {"t": 2.0, "kind": "unit_done", "elapsed_s": True},
+        {"t": 3.0, "kind": "unit_done", "elapsed_s": 0.25},
+        {"t": 9.0, "kind": "unit_done"},
+        {"t": 4.0, "kind": "batch_end"},
+        {"t": 4.5},
+    ]
+
+    def test_groups_by_kind_in_stream_order(self):
+        index = EventIndex(self.EVENTS)
+        assert len(index) == 7
+        assert [e["t"] for e in index.of("unit_done")] == [1.0, 2.0, 3.0,
+                                                           9.0]
+        assert index.of("never") == []
+        assert index.tally() == {"?": 1, "batch_end": 1,
+                                 "batch_start": 1, "unit_done": 4}
+
+    def test_last_takes_the_first_kind_that_occurs(self):
+        index = EventIndex(self.EVENTS)
+        assert index.last("unit_done")["t"] == 9.0
+        assert index.last("run_start", "batch_start")["pairs"] == 4
+        assert index.last("batch_end", "batch_start")["t"] == 4.0
+        assert index.last("run_end") is None
+        assert index.last() is None
+
+    def test_duration_is_the_final_event_now_is_the_latest(self):
+        index = EventIndex(self.EVENTS)
+        assert index.duration_s == 4.5
+        assert index.now_t == 9.0
+        empty = EventIndex([])
+        assert (empty.duration_s, empty.now_t) == (0.0, 0.0)
+
+    def test_samples_are_numeric_and_windowed(self):
+        index = EventIndex(self.EVENTS)
+        # Booleans and missing fields are not samples.
+        assert index.samples("unit_done", "elapsed_s") == [0.5, 0.25]
+        # The window ends at the stream's latest timestamp (9.0) ...
+        assert index.samples("unit_done", "elapsed_s", 6.5) == [0.25]
+        # ... unless the caller pins ``now_t`` (a tenant lane judged
+        # on the whole stream's clock).
+        assert index.samples("unit_done", "elapsed_s", 2.5,
+                             now_t=3.0) == [0.5, 0.25]
+        assert index.samples("batch_end", "elapsed_s", 1.0) == []
+
+    def test_over_reuses_an_index(self):
+        index = EventIndex(self.EVENTS)
+        assert EventIndex.over(index) is index
+        assert EventIndex.over(self.EVENTS).events is self.EVENTS
+        assert summarize(index) == summarize(self.EVENTS)
 
 
 class TestEngineEvents:

@@ -294,3 +294,108 @@ class TestFleetSnapshot:
         text = obs_slo.format_monitor(snapshot)
         assert "queue    depth=3" in text
         assert "acme=1" in text
+
+
+class TestFleetFollowMode:
+    """``repro fleet`` follows a growing file through the same loop as
+    ``repro monitor``: one ``EventReader``, every byte parsed once."""
+
+    @staticmethod
+    def _line(seq, kind, **fields):
+        return json.dumps({"seq": seq, "t": seq / 10, "kind": kind,
+                           **fields}) + "\n"
+
+    def _follow(self, monkeypatch, path, chunks, *extra):
+        """Run follow mode on ``path``; each tick's sleep appends the
+        next of ``chunks`` (the writer racing the reader) and the tick
+        after the last one is Ctrl-C. Returns ``(exit code, texts fed
+        to the reader)``."""
+        from repro.__main__ import main
+        from repro.obs.events import EventReader
+        fed: list[str] = []
+        real_feed = EventReader.feed
+
+        def feed(reader, text, final=False):
+            fed.append(text)
+            return real_feed(reader, text, final=final)
+
+        pending = list(chunks)
+
+        def sleep(_seconds):
+            if not pending:
+                raise KeyboardInterrupt
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(pending.pop(0))
+
+        monkeypatch.setattr(EventReader, "feed", feed)
+        monkeypatch.setattr("time.sleep", sleep)
+        code = main(["fleet", str(path), "--interval", "0", "--json",
+                     *extra])
+        return code, fed
+
+    def test_growing_file_is_fed_exactly_once(self, tmp_path,
+                                              monkeypatch, capsys):
+        path = tmp_path / "events.jsonl"
+        done = self._line(2, "job_done", tenant="acme", elapsed_s=0.2)
+        path.write_text(self._line(1, "job_pending", tenant="acme")
+                        + done[:25])  # the writer is mid-line
+        chunks = [done[25:] + self._line(3, "job_done", tenant="zeno",
+                                         elapsed_s=0.1),
+                  "",  # an idle tick: nothing new, nothing printed
+                  self._line(4, "job_failed", tenant="zeno")]
+        code, fed = self._follow(monkeypatch, path, chunks)
+        assert code == 0
+        assert "".join(fed) == path.read_text()
+        assert len(fed) == 4 and fed[2] == ""
+        snapshots = [json.loads(line) for line
+                     in capsys.readouterr().out.splitlines()]
+        assert [s["events"] for s in snapshots] == [1, 3, 4]
+        assert all(s["skipped_lines"] == 0 for s in snapshots)
+        assert snapshots[-1]["tenants"]["zeno"]["jobs"] == {
+            "done": 1, "failed": 1, "rejected": 0}
+        # The last follow snapshot is what --once reads from the file.
+        from repro.__main__ import main
+        assert main(["fleet", str(path), "--once", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == snapshots[-1]
+
+    def test_interior_garbage_fails_like_monitor(self, tmp_path,
+                                                 monkeypatch, capsys):
+        from repro.__main__ import main
+        path = tmp_path / "events.jsonl"
+        path.write_text(self._line(1, "job_pending", tenant="acme")
+                        + '{"kind": "job_do\n')
+        code, _ = self._follow(
+            monkeypatch, path,
+            [self._line(3, "job_done", tenant="acme", elapsed_s=0.2)])
+        assert code == 2
+        captured = capsys.readouterr()
+        message = f"error: {path}:2: not a JSON event line"
+        assert captured.err.startswith(message)
+        # The bad line was the stream's tail on the first tick:
+        # tolerated and counted then, corruption once a line follows.
+        [first] = [json.loads(line)
+                   for line in captured.out.splitlines()]
+        assert first["events"] == 1 and first["skipped_lines"] == 1
+        for command in ("monitor", "fleet"):
+            assert main([command, str(path), "--once"]) == 2
+            assert capsys.readouterr().err.startswith(message)
+
+    def test_truncated_tail_is_tolerated_and_counted(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from repro.__main__ import main
+        path = tmp_path / "events.jsonl"
+        path.write_text(self._line(1, "job_pending", tenant="acme"))
+        tail = self._line(2, "job_done", tenant="acme",
+                          elapsed_s=0.2) + '{"kind": "job_do'
+        code, fed = self._follow(monkeypatch, path, [tail])
+        assert code == 0
+        assert "".join(fed) == path.read_text()
+        last = json.loads(capsys.readouterr().out.splitlines()[-1])
+        # Unterminated, so still held back: its newline may yet come.
+        assert last["events"] == 2 and last["skipped_lines"] == 0
+        # A final read takes the tail for what it is.
+        assert main(["fleet", str(path), "--once", "--json"]) == 0
+        once = json.loads(capsys.readouterr().out)
+        assert once["events"] == 2 and once["skipped_lines"] == 1
+        assert main(["fleet", str(path), "--once", "--strict"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3:")

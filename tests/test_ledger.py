@@ -300,10 +300,36 @@ class TestGoldenRecord:
 def test_lines_table_is_src_lines_is_wc(capsys):
     assert ledger.main(["lines"]) == 0
     counts = ledger.src_lines()
-    assert capsys.readouterr().out.splitlines()[2:] == [
-        f"| {package} | {count} |" for package, count in counts.items()]
+    assert [row.rsplit(" | ", 1)[0] for row
+            in capsys.readouterr().out.splitlines()[2:]] == [
+        f"| {package} | {count}" for package, count in counts.items()]
     wc = subprocess.run(
         "find src -name '*.py' -print0 | xargs -0 cat | wc -l",
         shell=True, cwd=_REPO, capture_output=True, text=True)
     assert counts["total"] == int(wc.stdout)
 
+
+
+def test_lines_table_shows_the_change_since_the_newest_record(
+        scratch, capsys):
+    """The delta column reads the ``src_lines`` the newest history
+    record stored: no argument, ``n/a`` where there is nothing to
+    subtract, exit 2 on a history that is not one."""
+    history = scratch / "results" / "BENCH_HISTORY.json"
+    assert ledger.main(["lines"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| package | lines | vs record 0 |", "|---|---:|---:|",
+        "| (top level) | 2 | n/a |", "| obs | 2 | n/a |",
+        "| total | 4 | n/a |"]
+    history.parent.mkdir()
+    ledger.append_record(str(history), {"src_lines": {"total": 9}})
+    ledger.append_record(str(history), {
+        "src_lines": {"(top level)": 1, "gone": 3, "total": 9}})
+    assert ledger.main(["lines"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| package | lines | vs record 2 |", "|---|---:|---:|",
+        "| (top level) | 2 | +1 |", "| obs | 2 | n/a |",
+        "| total | 4 | -5 |"]
+    history.write_text("{broken")
+    assert ledger.main(["lines"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {history}: not ")

@@ -19,7 +19,12 @@ from repro.analysis.reporting import write_json_report, write_report
 from repro.core.coprocessor import CoprocParams, CoprocessorSim
 from repro.core.worker import BlockJob
 from repro.obs import reports
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import (
+    LabeledRegistry,
+    MetricsRegistry,
+    NULL_REGISTRY,
+    ScopedRegistry,
+)
 from repro.obs.tracing import NULL_TRACER, REQUIRED_EVENT_KEYS, Tracer
 
 
@@ -90,6 +95,54 @@ class TestMetricsRegistry:
         scoped.counter("grants").inc()
         assert reg.snapshot() == {"coproc.engine.grants": 1.0}
 
+    def test_views_nest_prefixes_and_labels(self):
+        """``scope()`` under a labeled view and under another scope:
+        prefixes chain, view labels carry through, and call-site
+        labels override the view's."""
+        reg = MetricsRegistry()
+        acme = LabeledRegistry(reg, tenant="acme", tier="gold")
+        plan = acme.scope("exec").scope("plan")
+        plan.counter("routed", route="banded").inc(2)
+        plan.counter("routed", tenant="zeno").inc()
+        LabeledRegistry(plan, tier="free").gauge("depth").set(3)
+        assert reg.snapshot() == {
+            "exec.plan.routed{route=banded,tenant=acme,tier=gold}": 2.0,
+            "exec.plan.routed{tenant=zeno,tier=gold}": 1.0,
+            "exec.plan.depth{tenant=acme,tier=free}": 3.0}
+        # Every view reads, walks and merges through the shared root;
+        # the prefix applies to lookups only.
+        assert plan.snapshot() == reg.snapshot()
+        assert list(plan.items()) == list(reg.items())
+        plan.merge_state({"counters": {"exec.pairs": 4.0}},
+                         extra_labels={"shard": 1})
+        assert reg.counter("exec.pairs", shard=1, tenant="acme",
+                           tier="gold").value == 4.0
+
+    def test_scoped_and_labeled_are_one_view_class(self):
+        assert ScopedRegistry is LabeledRegistry
+        reg = MetricsRegistry()
+        assert type(reg.scope("a")) is ScopedRegistry
+        # ``prefix`` is positional-only, so it stays usable as a label.
+        LabeledRegistry(reg, prefix="p").counter("x").inc()
+        assert reg.snapshot() == {"x{prefix=p}": 1.0}
+
+    def test_items_walks_counters_gauges_distributions_in_order(self):
+        reg = MetricsRegistry()
+        reg.distribution("d").observe(1.0)
+        reg.gauge("g", unit="s").set(2)
+        reg.counter("c").inc()
+        reg.counter("a", z=1, b=2).inc()
+        assert [(kind, name, labels)
+                for kind, name, labels, _ in reg.items()] == [
+            ("counter", "c", ()),
+            ("counter", "a", (("b", "2"), ("z", "1"))),
+            ("gauge", "g", (("unit", "s"),)),
+            ("distribution", "d", ())]
+        assert [name for _, name, _, _ in reg.items("gauge", "counter")] \
+            == ["g", "c", "a"]
+        [(_, _, _, instrument)] = reg.items("distribution")
+        assert instrument is reg.distribution("d")
+
     def test_distribution_percentiles_in_snapshot(self):
         reg = MetricsRegistry()
         dist = reg.distribution("lat")
@@ -138,6 +191,32 @@ class TestDisabledMode:
 
     def test_null_instruments_are_shared(self):
         assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
+
+    def test_disabled_path_contract(self):
+        """One lookup, one shared no-op instrument per kind, whatever
+        the name and labels -- directly or through a view -- and
+        nothing to walk, export or merge afterwards."""
+        view = LabeledRegistry(NULL_REGISTRY, tenant="acme").scope("exec")
+        assert not view.enabled
+        for kind in ("counter", "gauge", "distribution"):
+            lookup = getattr(NULL_REGISTRY, kind)
+            shared = lookup("a")
+            assert lookup("b", tenant="acme", shard=3) is shared
+            assert getattr(view, kind)("c", engine="vector") is shared
+        worker = MetricsRegistry()
+        worker.counter("exec.pairs").inc(3)
+        worker.distribution("lat").observe(1.5)
+        NULL_REGISTRY.merge_state(worker.export_state())
+        view.merge_state(worker.export_state(), extra_labels={"s": 1})
+        NULL_REGISTRY.distribution("lat").observe(2.0)
+        assert list(NULL_REGISTRY.items()) == []
+        assert NULL_REGISTRY.drain_windows() == {}
+        assert NULL_REGISTRY.distribution("lat").count == 0
+        live = MetricsRegistry()
+        live.counter("exec.pairs").inc(2)
+        before = live.export_state()
+        live.merge_state(NULL_REGISTRY.export_state())
+        assert live.export_state() == before
 
     def test_null_tracer_records_nothing(self):
         track = NULL_TRACER.track("p", "t")
