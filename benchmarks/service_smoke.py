@@ -9,9 +9,11 @@ rather than the in-process chaos fault:
 2. enqueue it into a fresh spool and start ``repro serve`` as a
    subprocess;
 3. poll the job's incremental checkpoint until it shows partial
-   progress, then SIGKILL the daemon mid-run;
+   progress, then SIGKILL the daemon mid-run: ``running/`` must hold a
+   base document *and* a non-empty journal, which ``repro stats`` reads
+   as ``0 < completed < pairs``;
 4. restart the daemon, which must auto-resume the orphaned job from
-   its checkpoint;
+   its checkpoint and leave no ``*.journal`` anywhere under the spool;
 5. assert the final settled outcome (results, failures, counters) is
    bit-identical to the uninterrupted in-process reference.
 
@@ -23,8 +25,9 @@ to catch mid-run), ``SMX_SMOKE_TIMEOUT`` bounds each wait.
 
 from __future__ import annotations
 
-import json
+import glob
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -97,12 +100,24 @@ def wait_for(predicate, what: str, timeout_s: float = TIMEOUT_S,
 
 
 def checkpoint_progress(path: str) -> int:
-    """Completed pairs recorded in the checkpoint (0 if unreadable)."""
+    """Completed pairs recorded in the checkpoint, its journal folded
+    in (0 if unreadable)."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return int(json.load(handle).get("completed", 0))
+        return int(outcome_io.load_document(path).get("completed", 0))
     except (OSError, ValueError):
         return 0
+
+
+def stats_completed(path: str) -> tuple[int, int]:
+    """``(completed, pairs)`` as ``repro stats`` prints them."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "stats", path], env=env,
+        cwd=REPO, check=True, capture_output=True, text=True).stdout
+    match = re.search(r"pairs\s*:\s*(\d+)/(\d+) completed", out)
+    if match is None:
+        fail(f"'repro stats {path}' printed no pairs line:\n{out}")
+    return int(match.group(1)), int(match.group(2))
 
 
 def main() -> int:
@@ -141,6 +156,16 @@ def main() -> int:
         fail("kill left no checkpoint in running/")
     if os.path.exists(outcome_path):
         fail("job settled despite the kill")
+    journal = outcome_io.journal_path(checkpoint)
+    if not os.path.exists(journal) or os.path.getsize(journal) == 0:
+        fail("kill left no journal beside the base checkpoint")
+    completed, total = stats_completed(checkpoint)
+    if not 0 < completed < total:
+        fail(f"'repro stats' on the live checkpoint reports "
+             f"{completed}/{total} completed, expected partial")
+    print(f"[smoke] live checkpoint: base + "
+          f"{os.path.getsize(journal)} journal bytes, repro stats "
+          f"reads {completed}/{total}")
 
     survivor = spawn_daemon(spool.root)
     try:
@@ -152,6 +177,10 @@ def main() -> int:
             survivor.kill()
             survivor.wait(timeout=30)
 
+    leftovers = glob.glob(os.path.join(spool.root, "**", "*.journal"),
+                          recursive=True)
+    if leftovers:
+        fail(f"journal outlived its job: {leftovers}")
     final = outcome_io.load_document(outcome_path)
     if not final.get("complete"):
         fail("settled outcome is not marked complete")

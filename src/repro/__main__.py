@@ -378,19 +378,15 @@ def _print_outcome_stats(path: str, document: dict) -> int:
 
 
 def _sniff_outcome(path: str) -> dict | None:
-    """The parsed document when ``path`` is an smx-outcome file, else
-    None (missing/malformed files fall through to the report loader so
-    its one-line errors stay authoritative)."""
-    import json
+    """The parsed document (a live checkpoint's journal folded in)
+    when ``path`` is an smx-outcome file, else None (missing/malformed
+    files fall through to the report loader so its one-line errors
+    stay authoritative)."""
+    from repro.resilience import outcome_io
     try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+        return outcome_io.load_document(path)
     except (OSError, ValueError):
         return None
-    if (isinstance(document, dict) and str(
-            document.get("schema", "")).startswith("smx-outcome/")):
-        return document
-    return None
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

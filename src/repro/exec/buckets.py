@@ -83,6 +83,15 @@ def _round_up(length: int, granularity: int) -> int:
     return ((length + granularity - 1) // granularity) * granularity
 
 
+def bucket_key(pair: tuple[np.ndarray, np.ndarray],
+               granularity: int) -> tuple[int, int]:
+    """The bucket a pair falls in: both lengths rounded up to
+    ``granularity``. Callers that order pairs by this key (the
+    supervisor's unit cut) hand the engine runs of whole buckets."""
+    return (_round_up(len(pair[0]), granularity),
+            _round_up(len(pair[1]), granularity))
+
+
 def bucketize(pairs: list[tuple[np.ndarray, np.ndarray]],
               granularity: int = 16) -> list[PairBatch]:
     """Group (query, reference) code pairs into padded length buckets.
@@ -96,10 +105,8 @@ def bucketize(pairs: list[tuple[np.ndarray, np.ndarray]],
         raise ConfigurationError(
             f"bucket granularity must be >= 1, got {granularity}")
     groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for position, (q_codes, r_codes) in enumerate(pairs):
-        key = (_round_up(len(q_codes), granularity),
-               _round_up(len(r_codes), granularity))
-        groups[key].append(position)
+    for position, pair in enumerate(pairs):
+        groups[bucket_key(pair, granularity)].append(position)
     batches = []
     for key in sorted(groups):
         members = groups[key]

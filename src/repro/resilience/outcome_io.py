@@ -2,9 +2,7 @@
 
 A :class:`~repro.resilience.failures.BatchOutcome` -- completed
 results, quarantine list, shed/failure records, counters, degradation
-map -- serializes to one JSON document the supervised engine writes
-incrementally (write-then-rename, see :mod:`repro.core.atomicio`)
-after every settled shard wave. The same document doubles as
+map -- serializes to one JSON document. The same document doubles as
 
 - the **checkpoint** a SIGKILL'd run resumes from (``complete`` false;
   the ``queue`` and ``remaining`` sections carry the supervisor's
@@ -15,6 +13,21 @@ after every settled shard wave. The same document doubles as
   true, empty queue), which ``repro stats`` and the service daemon's
   ``done/`` spool consume.
 
+A running checkpoint is a *base + journal* pair: :class:`Journal`
+writes it, :func:`load_document` reads it. The base is one full
+document at ``P``, written (write-then-rename, see
+:mod:`repro.core.atomicio`) when the run starts or resumes; every
+settled unit then appends one compact line to ``P.journal`` with only
+what it changed -- new result rows and failures, the counters, new
+degraded entries, the recovery queue, how many of the base's
+``remaining`` units are absorbed. The final document replaces ``P``
+and the journal is removed. **Binding rule:** the journal's first line
+is the digest of the base file's bytes, and a journal beside any other
+base is ignored; records replay while they parse and their ``seq``
+counts 1, 2, 3..., so a torn last line is dropped and its unit
+re-runs. Durability is ``atomicio``'s: nothing is fsync'd, so the pair
+survives a SIGKILL at any instruction, not power loss.
+
 Serialization is *bit-stable*: every value is coerced to plain JSON
 scalars (NumPy integers become ``int``), keys are emitted sorted, and
 ``to_document(from_document(doc)) == doc`` holds exactly -- the
@@ -22,16 +35,17 @@ property the kill/resume chaos tests lean on when they assert a
 resumed union is indistinguishable from an uninterrupted run.
 
 Scrooge's memory-frugality argument (PAPERS.md) shapes the format:
-results are stored as flat per-pair rows keyed by index, so a
-checkpoint can be written and merged without materialising anything
-beyond the outcome the engine already holds, and a resumed run only
-ever loads the remainder it still has to execute.
+results are stored as flat per-pair rows keyed by index, so a settle
+writes only the rows it produced, and a resumed run only ever loads
+the remainder it still has to execute.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,12 +171,16 @@ class Checkpoint:
 
     def unsettled(self) -> list[int]:
         """Pair indices the checkpointed run had not finished."""
-        pending = set()
-        for unit in self.queue:
-            pending.update(unit["indices"])
-        for indices in self.remaining:
-            pending.update(indices)
-        return sorted(pending)
+        return sorted(_unsettled(self.queue, self.remaining))
+
+
+def _unsettled(queue: list[dict], remaining: list[list[int]]) -> set:
+    pending = set()
+    for unit in queue:
+        pending.update(unit.get("indices") or [])
+    for indices in remaining:
+        pending.update(indices)
+    return pending
 
 
 def pairs_digest(pairs) -> str:
@@ -209,14 +227,17 @@ def to_document(outcome: BatchOutcome, *, pairs: int,
     return document
 
 
-def from_document(document: dict) -> Checkpoint:
-    """Parse one document back; raises ``ValueError`` when malformed."""
+def _check_schema(document) -> None:
     if not isinstance(document, dict) or "schema" not in document:
         raise ValueError("not an SMX outcome (no schema key)")
-    schema = str(document["schema"])
-    if not schema.startswith("smx-outcome/"):
-        raise ValueError(f"unknown schema {schema!r} "
+    if not str(document["schema"]).startswith("smx-outcome/"):
+        raise ValueError(f"unknown schema {document['schema']!r} "
                          f"(expected {SCHEMA})")
+
+
+def from_document(document: dict) -> Checkpoint:
+    """Parse one document back; raises ``ValueError`` when malformed."""
+    _check_schema(document)
     try:
         pairs = int(document["pairs"])
         results: list[AlignerResult | None] = [None] * pairs
@@ -251,21 +272,111 @@ def write(path: str, document: dict) -> str:
     return atomic_write_json(path, document, sort_keys=True)
 
 
-def load_document(path: str) -> dict:
-    """Read and schema-check a document; ``ValueError`` on anything
-    that is not a well-formed ``smx-outcome/1`` file."""
-    with open(path, encoding="utf-8") as handle:
+def journal_path(path: str) -> str:
+    """The journal beside the checkpoint at ``path``."""
+    return path + ".journal"
+
+
+def _digest(raw: bytes) -> str:
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
+class Journal:
+    """Writer of the checkpoint at ``path``: :meth:`begin` the base,
+    :meth:`append` one line per settle, :meth:`finish`."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._seq = self._failures = self._wave = 0
+
+    def _line(self, mode: str, text: str) -> None:
+        with open(journal_path(self.path), mode,
+                  encoding="utf-8") as handle:
+            handle.write(text + "\n")
+
+    def begin(self, document: dict) -> None:
+        """Write the base document and a fresh journal bound to it."""
+        write(self.path, document)
+        self._seq = 0
+        self._failures = len(document["failures"])
+        self._wave = len(document["remaining"])
+        with open(self.path, "rb") as handle:
+            self._line("w", _digest(handle.read()))
+
+    def append(self, outcome: BatchOutcome, fresh: list[int],
+               queue: list[dict], pending: int) -> None:
+        """Log one settle: ``fresh`` are the indices whose results
+        landed since the last line, ``pending`` counts the wave units
+        still not absorbed; failures only ever append."""
+        self._seq += 1
+        failures = outcome.failures[self._failures:]
+        self._failures = len(outcome.failures)
+        self._line("a", json.dumps({
+            "seq": self._seq,
+            "results": {str(i): result_to_dict(outcome.results[i])
+                        for i in fresh},
+            "failures": [failure_to_dict(f) for f in failures],
+            "counters": {key: int(value)
+                         for key, value in outcome.counters.items()},
+            "degraded": {str(i): list(outcome.degraded[i])
+                         for i in fresh if i in outcome.degraded},
+            "queue": [_clean(unit) for unit in queue],
+            "absorbed": self._wave - pending},
+            separators=(",", ":"), default=str))
+
+    def finish(self, document: dict) -> None:
+        """Replace the base with the final document, drop the journal."""
+        write(self.path, document)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(journal_path(self.path))
+
+
+def _fold_journal(path: str, raw: bytes, document: dict) -> None:
+    """Replay the journal beside ``path`` into ``document`` -- only if
+    its first line names exactly the base bytes ``raw``."""
+    try:
+        with open(journal_path(path), "rb") as handle:
+            header, *lines = handle.read().split(b"\n")
+    except FileNotFoundError:
+        return
+    if header != _digest(raw).encode():
+        return
+    wave = document["remaining"]
+    for seq, line in enumerate(lines, 1):
         try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc.msg})") \
-                from None
-    if not isinstance(document, dict) or "schema" not in document:
-        raise ValueError(f"{path} is not an SMX outcome "
-                         f"(no schema key)")
-    if not str(document["schema"]).startswith("smx-outcome/"):
-        raise ValueError(f"{path} has unknown schema "
-                         f"{document['schema']!r}")
+            record = json.loads(line)
+        except ValueError:  # the torn (or empty) tail
+            break
+        if record["seq"] != seq:
+            break
+        document["results"].update(record["results"])
+        document["failures"] += record["failures"]
+        document["counters"] = record["counters"]
+        document["degraded"].update(record["degraded"])
+        document["queue"] = record["queue"]
+        document["remaining"] = wave[record["absorbed"]:]
+    document["failures"].sort(key=lambda row: row["index"])
+    document["completed"] = len(document["results"])
+
+
+def load_document(path: str) -> dict:
+    """Read and schema-check a document, its journal folded in;
+    ``ValueError`` on anything that is not a well-formed
+    ``smx-outcome/1`` file."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        document = json.loads(raw)
+        _check_schema(document)
+        _fold_journal(path, raw, document)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc.msg})") \
+            from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed journal ({exc!r})") \
+            from None
     return document
 
 
@@ -290,11 +401,8 @@ def summarize(document: dict) -> dict:
         by_fault[fault] = by_fault.get(fault, 0) + 1
         if row.get("error_type") == "LoadShed":
             shed += 1
-    unsettled = set()
-    for unit in document.get("queue") or []:
-        unsettled.update(unit.get("indices") or [])
-    for indices in document.get("remaining") or []:
-        unsettled.update(indices)
+    unsettled = _unsettled(document.get("queue") or [],
+                           document.get("remaining") or [])
     return {
         "pairs": pairs,
         "completed": completed,

@@ -3,9 +3,11 @@
 :class:`SupervisedEngine` wraps :class:`~repro.exec.engine.BatchEngine`
 with the fault-tolerance policy of the execution layer:
 
-1. The batch is cut into contiguous shards (one per worker) and run as
-   a parallel wave, each shard guarded by a wall-clock timeout
-   (``shard_timeout_s``) and the overall call deadline.
+1. The batch is cut into units -- contiguous shards, one per worker,
+   or under ``max_unit_pairs`` runs of that many pairs taken in the
+   engine's bucket order -- and run as a parallel wave, each unit
+   guarded by a wall-clock timeout (``shard_timeout_s``) and the
+   overall call deadline.
 2. A failed shard is retried whole once (clearing transient faults),
    then **bisected**: halves re-run independently, recursively, until
    the failure is narrowed to single pairs. Unaffected pairs keep their
@@ -36,14 +38,18 @@ both in ``repro.obs`` metrics (``resilience.*``) and in the outcome's
 ground-truth log.
 
 Crash safety: with a ``checkpoint_path``, :meth:`SupervisedEngine.run`
-writes an ``smx-outcome/1`` document (write-then-rename, see
-:mod:`repro.resilience.outcome_io`) after *every settled unit* --
-completed results, quarantine list, counters, plus the recovery queue
-and the not-yet-absorbed wave units at their exact attempt counts. A
-SIGKILL'd run restarted with ``resume=`` re-executes only the
-checkpoint's unfinished remainder, and because every decision in this
-engine is deterministic in (pair content, attempt), the resumed union
-is bit-identical to an uninterrupted run.
+keeps an ``smx-outcome/1`` checkpoint as a base document plus a journal
+(:mod:`repro.resilience.outcome_io` has the protocol). The base --
+completed results, quarantine list, counters, the recovery queue and
+the wave units at their exact attempt counts -- is written once
+(write-then-rename) when the run starts or resumes; *every settled
+unit* then appends one line with what it changed. A journal replays
+only over the base whose bytes it names, a torn last line costs one
+unit's re-run, and nothing is fsync'd: a SIGKILL at any instruction
+is survived, power loss is not. A run restarted with ``resume=``
+re-executes only the checkpoint's unfinished remainder, and because
+every decision in this engine is deterministic in (pair content,
+attempt), the resumed union is bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from repro.errors import (
     PoisonPairError,
     RangeError,
 )
+from repro.exec.buckets import bucket_key
 from repro.exec.engine import BatchConfig, BatchEngine, _as_pairs
 from repro.exec.sharding import shard_spans
 from repro.obs import (
@@ -135,8 +142,11 @@ class ResilienceConfig:
             the batch is cut into one shard per worker; a cap cuts it
             finer, which bounds the work lost to a crash between
             checkpoints (the service daemon's knob) and narrows
-            bisection's starting point. ``None`` keeps per-worker
-            shards.
+            bisection's starting point. Capped units follow the
+            engine's bucket order, not submission order, so a unit is
+            a run of whole length buckets and the job sweeps about as
+            few buckets as it would uncut. ``None`` keeps per-worker
+            contiguous shards.
     """
 
     max_retries: int = 2
@@ -183,7 +193,7 @@ class ResilienceConfig:
 
 @dataclass
 class _Unit:
-    """One schedulable piece of the batch: a span of pair positions."""
+    """One schedulable piece of the batch: a list of pair positions."""
 
     indices: list[int]
     attempt: int = 0
@@ -291,10 +301,11 @@ class SupervisedEngine:
         self._generation = 0
         self._charged_generations: set[int] = set()
         #: Checkpoint plumbing; rebound by every :meth:`run`.
-        self._ckpt_path: str | None = None
+        self._journal: outcome_io.Journal | None = None
         self._digest: str | None = None
         self._units_settled = 0
         self._wave_pending: list[_Unit] = []
+        self._fresh: list[int] = []
         #: Regenerated by every :meth:`run`; stamps events and stitched
         #: trace spans so one run's artifacts correlate.
         self.run_id = new_run_id()
@@ -339,7 +350,7 @@ class SupervisedEngine:
         pool = self._executor_for(width)
         pairs = [self._pairs[i] for i in unit.indices]
         if self._use_processes:
-            label = (f"u{unit.indices[0]}-{unit.indices[-1]}"
+            label = (f"u{min(unit.indices)}-{max(unit.indices)}"
                      f".a{unit.attempt}")
             return pool.submit(_pool_worker, self.config,
                                self._unit_config(unit), pairs, self.plan,
@@ -639,18 +650,11 @@ class SupervisedEngine:
                 if self._enqueue_rung(queue, outcome, promoted):
                     continue
             outcome.results[index] = result
+            self._fresh.append(index)
             if unit.rungs:
                 outcome.degraded[index] = unit.rungs
 
     # -- checkpoint / resume ----------------------------------------------
-
-    def _unit_spans(self, n: int) -> list[tuple[int, int]]:
-        """Contiguous unit spans: per-worker shards, or capped units."""
-        cap = self.resilience.max_unit_pairs
-        if cap is None:
-            return shard_spans(n, self.batch.workers)
-        return [(start, min(start + cap, n))
-                for start in range(0, n, cap)]
 
     def _unit_doc(self, unit: _Unit) -> dict:
         """Serialize a unit's replayable state (errors stay behind:
@@ -677,28 +681,41 @@ class SupervisedEngine:
                      config=config,
                      rungs=tuple(doc.get("rungs") or ()), fault=fault)
 
-    def _write_checkpoint(self, outcome: BatchOutcome, queue: deque,
-                          complete: bool) -> None:
-        if self._ckpt_path is None:
+    def _write_document(self, outcome: BatchOutcome, queue: deque,
+                        complete: bool) -> None:
+        """A full checkpoint document: the base this run's journal
+        extends, or the final ``complete`` one -- never per settle."""
+        if self._journal is None:
             return
-        document = outcome_io.to_document(
+        write = self._journal.finish if complete else self._journal.begin
+        write(outcome_io.to_document(
             outcome, pairs=len(self._pairs), complete=complete,
             queue=[self._unit_doc(unit) for unit in queue],
-            remaining=[list(unit.indices)
-                       for unit in self._wave_pending],
-            digest=self._digest)
-        outcome_io.write(self._ckpt_path, document)
-        self._emit("checkpoint", done=outcome.completed(),
-                   failures=len(outcome.failures), queued=len(queue),
-                   complete=complete)
+            remaining=[unit.indices for unit in self._wave_pending],
+            digest=self._digest))
+        self._emit_checkpoint(outcome, queue, complete)
+
+    def _emit_checkpoint(self, outcome: BatchOutcome, queue: deque,
+                         complete: bool) -> None:
+        if self.obs.events.enabled:  # completed() walks every result
+            self._emit("checkpoint", done=outcome.completed(),
+                       failures=len(outcome.failures),
+                       queued=len(queue), complete=complete)
 
     def _settle(self, outcome: BatchOutcome, queue: deque) -> None:
-        """One unit reached a decision: heartbeat, checkpoint, and --
-        under a kill-at-unit chaos plan -- die like a SIGKILL would,
-        *after* the checkpoint rename so only in-flight work is lost."""
+        """One unit reached a decision: heartbeat, journal what it
+        changed, and -- under a kill-at-unit chaos plan -- die like a
+        SIGKILL would, *after* the journal line so only in-flight work
+        is lost."""
         self._heartbeat(outcome, queue)
         self._units_settled += 1
-        self._write_checkpoint(outcome, queue, complete=False)
+        if self._journal is not None:
+            self._journal.append(
+                outcome, self._fresh,
+                [self._unit_doc(unit) for unit in queue],
+                pending=len(self._wave_pending))
+            self._emit_checkpoint(outcome, queue, complete=False)
+        self._fresh = []
         if self.plan is not None and \
                 self.plan.should_kill(self._units_settled):
             self.plan.record_kill(self._units_settled)
@@ -733,18 +750,21 @@ class SupervisedEngine:
             pairs: The full submitted batch (also on resume: a resumed
                 run receives the *original* pairs; the checkpoint names
                 which indices still need work).
-            checkpoint_path: Write an ``smx-outcome/1`` document here
-                (write-then-rename) after every settled unit, and a
-                final ``complete`` document when the run finishes.
+            checkpoint_path: Keep an ``smx-outcome/1`` checkpoint here:
+                a base document now, one ``.journal`` line per settled
+                unit, and a final ``complete`` document (journal
+                removed) when the run finishes.
             resume: A :class:`~repro.resilience.outcome_io.Checkpoint`
                 (or path to one) from a killed run: completed results,
                 quarantines, and counters are kept bit-identical, and
                 only the checkpoint's unfinished remainder re-runs.
         """
         self._pairs = _as_pairs(pairs)
-        self._ckpt_path = checkpoint_path
+        self._journal = (outcome_io.Journal(checkpoint_path)
+                         if checkpoint_path is not None else None)
         self._units_settled = 0
         self._wave_pending: list[_Unit] = []
+        self._fresh: list[int] = []
         self._digest = (outcome_io.pairs_digest(self._pairs)
                         if (checkpoint_path is not None
                             or resume is not None) else None)
@@ -758,11 +778,10 @@ class SupervisedEngine:
                     for indices in checkpoint.remaining]
         else:
             outcome = BatchOutcome(results=[None] * len(self._pairs))
-            wave = [_Unit(indices=list(range(start, stop)))
-                    for start, stop in
-                    self._unit_spans(len(self._pairs))]
+            wave = [_Unit(indices=indices) for indices in cut_units(
+                self._pairs, self.resilience.max_unit_pairs, self.batch)]
         if not self._pairs:
-            self._write_checkpoint(outcome, queue, complete=True)
+            self._write_document(outcome, queue, complete=True)
             return outcome
         deadline = Deadline.after(self.resilience.deadline_s
                                   or self.batch.deadline_s)
@@ -788,7 +807,7 @@ class SupervisedEngine:
                 outcome.injections = list(self.plan.fired)
         outcome.failures.sort(key=lambda failure: failure.index)
         self.obs.metrics.counter("resilience.batches").inc()
-        self._write_checkpoint(outcome, queue, complete=True)
+        self._write_document(outcome, queue, complete=True)
         self._emit("run_end", pairs=len(self._pairs),
                    failures=len(outcome.failures),
                    counters=dict(outcome.counters), run_id=self.run_id)
@@ -805,30 +824,32 @@ class SupervisedEngine:
     def _run_wave(self, wave: list[_Unit], queue: deque,
                   outcome: BatchOutcome, deadline: Deadline) -> None:
         """Initial parallel pass: one shard per worker (or finer, under
-        ``max_unit_pairs``), absorbed in submission order."""
-        if not wave:
-            return
-        if deadline.expired:
+        ``max_unit_pairs``), absorbed in wave order."""
+        expired = bool(wave) and deadline.expired
+        if not expired:
+            wave = [unit for unit in (self._shed_unit(outcome, unit, deadline)
+                                      for unit in wave) if unit is not None]
+        # Units not yet absorbed: the base checkpoint records them
+        # verbatim (shed pairs already trimmed off and failed) and each
+        # journal line counts how many are absorbed, so a resumed run
+        # re-executes exactly the rest at attempt 0 (their in-flight
+        # executions die with the process).
+        self._wave_pending = list(wave)
+        self._write_document(outcome, queue, complete=False)
+        if expired:
             for unit in wave:
                 self._fail_unit(outcome, unit, None)
+            self._wave_pending = []
             self._settle(outcome, queue)
             return
         width = max(1, min(self.batch.workers, len(wave)))
         submitted = []
         for shard_id, unit in enumerate(wave):
-            trimmed = self._shed_unit(outcome, unit, deadline)
-            if trimmed is None:
-                continue
-            unit = trimmed
             self._emit("shard_start", shard=shard_id,
                        pairs=len(unit.indices))
             submitted.append((unit, self._submit(unit, width),
                               self._generation, shard_id,
                               time.perf_counter()))
-        # Units not yet absorbed: a checkpoint taken mid-wave records
-        # them verbatim so a resumed run re-executes exactly these at
-        # attempt 0 (their in-flight executions die with the process).
-        self._wave_pending = [entry[0] for entry in submitted]
         for unit, future, generation, shard_id, started in submitted:
             try:
                 results = self._wait(unit, future, deadline)
@@ -902,6 +923,21 @@ class SupervisedEngine:
                            attempt=unit.attempt, rung=unit.rung,
                            elapsed_s=round(elapsed, 6))
             self._settle(outcome, queue)
+
+
+def cut_units(pairs, cap: int | None,
+              batch: BatchConfig) -> list[list[int]]:
+    """The first wave's units, as pair positions: per-worker contiguous
+    shards, or -- capped -- the engine's bucket order (stable in
+    submission index) cut every ``cap`` pairs, so each unit is a run
+    of whole buckets plus at most one bucket slice at either end."""
+    if cap is None:
+        return [list(range(start, stop)) for start, stop in
+                shard_spans(len(pairs), batch.workers)]
+    order = sorted(range(len(pairs)), key=lambda index: bucket_key(
+        pairs[index], batch.bucket_granularity))
+    return [order[start:start + cap]
+            for start in range(0, len(order), cap)]
 
 
 def replace_unit(unit: _Unit, **changes) -> _Unit:

@@ -56,8 +56,9 @@ class AlignmentDaemon:
             conservative built-in rate.
         max_unit_pairs: Checkpoint granularity forwarded to
             :class:`~repro.resilience.ResilienceConfig` -- smaller
-            units mean finer-grained resume at a little more checkpoint
-            I/O.
+            units mean finer-grained resume at one more journal line
+            each. Units follow the engine's bucket order, not
+            submission order.
         plan: Optional chaos plan forwarded to every engine run (tests
             use ``kill_at_unit`` to SIGKILL the daemon deterministically
             mid-job).
@@ -96,6 +97,9 @@ class AlignmentDaemon:
         self.metrics_path = metrics_path
         self._backlog_s = 0.0
         self._predicted: dict[str, float] = {}
+        #: Pending paths already admitted and not yet leased: ingest
+        #: skips them by name, before parsing.
+        self._admitted: set[str] = set()
         self._running_tenant: str | None = None
         self._gauged_tenants: set[str] = set()
         self._last_depths: dict[str, int] | None = None
@@ -202,6 +206,8 @@ class AlignmentDaemon:
         from repro.service import protocol
         admitted = 0
         for pending_path in self.spool.pending_jobs():
+            if pending_path in self._admitted:
+                continue
             try:
                 job = protocol.load_job(pending_path)
             except ValueError as exc:
@@ -213,9 +219,8 @@ class AlignmentDaemon:
                            reason="malformed", detail=str(exc))
                 continue
             if job.job_id in self._predicted:
-                # Already admitted on an earlier loop (its pending file
-                # lingers until leased): re-admitting would double the
-                # backlog and inflate the queue-depth gauge.
+                # A recovered orphan of the same id is still in flight:
+                # admitting this file too would double the backlog.
                 continue
             if job.config not in standard_configs():
                 self._reject(pending_path, job, reason="bad-config")
@@ -229,6 +234,7 @@ class AlignmentDaemon:
             predicted = self.admission.price(job)
             self._predicted[job.job_id] = predicted
             self._backlog_s += predicted
+            self._admitted.add(pending_path)
             self.picker.add(job.tenant, job.priority,
                             (job, pending_path))
             admitted += 1
@@ -259,6 +265,7 @@ class AlignmentDaemon:
         if picked is None:
             return False
         _, (job, path) = picked
+        self._admitted.discard(path)
         self._backlog_s = max(
             0.0, self._backlog_s - self._predicted.pop(job.job_id, 0.0))
         self._gauge_depth()
@@ -284,7 +291,8 @@ class AlignmentDaemon:
                 if not loaded.complete:
                     resume = loaded
             except ValueError:
-                resume = None  # unreadable checkpoint: start over
+                # Unreadable checkpoint or journal: start over.
+                self.spool.drop_checkpoint(job.job_id)
         self._emit("job_start", job_id=job.job_id, tenant=job.tenant,
                    pairs=len(job.pairs), engine=job.engine,
                    resumed=resume is not None)

@@ -5,7 +5,7 @@ Layout under one spool root::
     spool/
       tmp/        in-flight writes (never read)
       pending/    submitted jobs waiting for admission + lease
-      running/    leased jobs, plus their incremental checkpoints
+      running/    leased jobs, plus their checkpoints (base + journal)
       done/       settled records: outcome / rejected / failed JSON
 
 Every transition is a single ``os.replace`` (atomic on POSIX within a
@@ -17,7 +17,8 @@ filesystem), which gives the queue its crash-safety story for free:
   by whoever's rename wins (the loser sees ``FileNotFoundError``);
 - a daemon SIGKILL'd mid-run leaves the job file and its last
   checkpoint in ``running/``; the next daemon finds both via
-  :meth:`JobSpool.orphaned` and resumes instead of recomputing.
+  :meth:`JobSpool.orphaned` and resumes instead of recomputing;
+- settling a job leaves nothing of it in ``running/``.
 
 Nothing here knows what a job *means* -- that is
 :mod:`repro.service.protocol` -- so the spool is reusable for any
@@ -26,6 +27,7 @@ one-file-per-item work queue.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from repro.core.atomicio import atomic_move, atomic_write_json
@@ -106,9 +108,17 @@ class JobSpool:
             and not name.endswith(".outcome.json"))
 
     def checkpoint_path(self, job_id: str) -> str:
-        """Where a job's incremental checkpoint lives while running."""
+        """Where a job's incremental checkpoint lives while running
+        (its journal is this path + ``.journal``)."""
         return os.path.join(self._dir("running"),
                             f"{job_id}.outcome.json")
+
+    def drop_checkpoint(self, job_id: str) -> None:
+        """Remove what is left of a job's checkpoint and journal."""
+        checkpoint = self.checkpoint_path(job_id)
+        for path in (checkpoint, checkpoint + ".journal"):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
     def outcome_path(self, job_id: str) -> str:
         """Where a settled job's final outcome lives."""
@@ -121,6 +131,7 @@ class JobSpool:
         checkpoint = self.checkpoint_path(job_id)
         if os.path.exists(checkpoint):
             atomic_move(checkpoint, self.outcome_path(job_id))
+        self.drop_checkpoint(job_id)
         return atomic_move(
             running_path, self._job_file("done", job_id))
 
@@ -138,6 +149,7 @@ class JobSpool:
         """Settle a job that errored before/outside the engine."""
         path = os.path.join(self._dir("done"), f"{job_id}.failed.json")
         atomic_write_json(path, record, sort_keys=True)
+        self.drop_checkpoint(job_id)
         atomic_move(running_path, self._job_file("done", job_id))
         return path
 

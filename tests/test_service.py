@@ -374,3 +374,98 @@ class TestDaemon:
         assert len(daemon.picker) == 1
         [event] = ctx.events.of_kind("job_pending")
         assert event["recovered"] is True
+
+
+def _running(spool):
+    return sorted(os.listdir(os.path.join(spool.root, "running")))
+
+
+class TestServePathTax:
+    """ISSUE 23: ingest parses a file once; settling empties running/."""
+
+    def test_ingest_parses_each_pending_file_once(self, spool, ctx,
+                                                  monkeypatch):
+        for i in range(40):
+            spool.submit(_job(f"job-{i:02d}", n_pairs=1, seed=i))
+        parsed = []
+        load_job = protocol.load_job
+        monkeypatch.setattr(protocol, "load_job", lambda path: (
+            parsed.append(path), load_job(path))[1])
+        daemon = _daemon(spool, ctx,
+                         policy=AdmissionPolicy(max_queue_depth=64))
+        assert daemon.serve(max_jobs=40, idle_exit_s=0.05,
+                            poll_s=0.01) == 40
+        assert len(parsed) == 40  # was ~800: every file, every loop
+
+    def test_new_submission_under_a_settled_id_is_admitted(self, spool,
+                                                           ctx):
+        daemon = _daemon(spool, ctx)
+        spool.submit(_job("job-a", seed=1))
+        assert daemon.serve(max_jobs=1, idle_exit_s=0.05,
+                            poll_s=0.01) == 1
+        again = _job("job-a", n_pairs=4, seed=2)
+        spool.submit(again)
+        assert daemon.serve(max_jobs=2, idle_exit_s=0.05,
+                            poll_s=0.01) == 2
+        final = outcome_io.load_document(spool.outcome_path("job-a"))
+        assert final["pairs"] == len(again.pairs)
+
+    def test_settling_leaves_nothing_in_running(self, spool, ctx):
+        # Completed.
+        spool.submit(_job("job-done", n_pairs=6))
+        _daemon(spool, ctx).serve(max_jobs=1, idle_exit_s=0.05,
+                                  poll_s=0.01)
+        assert _running(spool) == []
+        # Killed: job file, base and a journal -- never an orphan.
+        job = _job("job-a", n_pairs=8, length=10)
+        spool.submit(job)
+        with pytest.raises(InjectedKill):
+            _daemon(spool, ctx, plan=ChaosPlan(kill_at_unit=2)).serve(
+                max_jobs=1, idle_exit_s=0.05, poll_s=0.01)
+        assert _running(spool) == ["job-a.json", "job-a.outcome.json",
+                                   "job-a.outcome.json.journal"]
+        assert [os.path.basename(p) for p in spool.orphaned()] == \
+            ["job-a.json"]
+        stranded = {name: open(os.path.join(spool.root, "running", name),
+                               "rb").read() for name in _running(spool)}
+        # ... then resumed.
+        assert _daemon(spool, ctx).serve(max_jobs=1, idle_exit_s=0.05,
+                                         poll_s=0.01) == 1
+        assert _running(spool) == []
+        # Failed: the same stranded files under a job they do not fit.
+        for name, data in stranded.items():
+            with open(os.path.join(spool.root, "running", name),
+                      "wb") as handle:
+                handle.write(data)
+        from repro.core.atomicio import atomic_write_json
+        atomic_write_json(
+            os.path.join(spool.root, "running", "job-a.json"),
+            protocol.job_to_dict(_job("job-a", n_pairs=8, length=10,
+                                      seed=9)), sort_keys=True)
+        ctx2 = obs.Observability.enabled_context(
+            events=obs.EventStream())
+        _daemon(spool, ctx2).serve(max_jobs=1, idle_exit_s=0.05,
+                                   poll_s=0.01)
+        [failed] = ctx2.events.of_kind("job_failed")
+        assert failed["reason"] == "ConfigurationError"
+        assert _running(spool) == []
+
+    def test_unreadable_checkpoint_is_dropped_with_its_journal(
+            self, spool, ctx):
+        job = _job("job-a", n_pairs=8, length=10)
+        spool.submit(job)
+        with pytest.raises(InjectedKill):
+            _daemon(spool, ctx, plan=ChaosPlan(kill_at_unit=2)).serve(
+                max_jobs=1, idle_exit_s=0.05, poll_s=0.01)
+        with open(spool.checkpoint_path("job-a"), "w",
+                  encoding="utf-8") as handle:
+            handle.write("{torn")
+        ctx2 = obs.Observability.enabled_context(
+            events=obs.EventStream())
+        assert _daemon(spool, ctx2).serve(max_jobs=1, idle_exit_s=0.05,
+                                          poll_s=0.01) == 1
+        [start] = ctx2.events.of_kind("job_start")
+        assert start["resumed"] is False
+        assert _running(spool) == []
+        final = outcome_io.load_document(spool.outcome_path("job-a"))
+        assert final["results"] == _reference_document(job)["results"]

@@ -192,6 +192,27 @@ class TestSupervisedRunStitching:
                    if "run_id" in s.get("args", {})}
         assert len(run_ids) == 1
 
+    def test_labels_of_bucket_ordered_units(self):
+        """Capped units are not index ranges: the label spans lowest
+        to highest pair and still names one unit per attempt."""
+        from repro.resilience import ResilienceConfig, SupervisedEngine
+        ctx = Observability.enabled_context()
+        SupervisedEngine(
+            dna_edit_config(), BatchConfig(workers=2),
+            ResilienceConfig(backend="process", max_unit_pairs=4),
+            obs=ctx).run(_pairs(16, seed=9))
+        import re
+        labels = [p for p in _chrome_processes(ctx.tracer.to_chrome())
+                  if p.startswith("u")]
+        if not labels:
+            pytest.skip("process pool unavailable; units ran inline")
+        spans = [re.fullmatch(r"u(\d+)-(\d+)\.a0", label).groups()
+                 for label in labels]
+        assert len(set(spans)) == 4  # 16 pairs / 4: one track per unit
+        # _pairs cycles four length classes, so a bucket-ordered unit
+        # holds every fourth pair: wider than its size, low end first.
+        assert all(int(last) - int(first) > 3 for first, last in spans)
+
     def test_chaos_run_deterministic_under_fixed_seed(self):
         ctx_a, outcome_a = self._run()
         ctx_b, outcome_b = self._run()
