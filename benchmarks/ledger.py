@@ -16,9 +16,11 @@ reads only the last stdout line of each run and gives every end-to-end
 metric x workload one verdict (:func:`classify`), with direction and
 bound from ``BENCHMARK.json`` and nothing else tunable. Exit 1 on a
 ``regressed`` cell, a larger failed share, an incorrect run or an unmet
-``--claim``; exit 2 on a bad ``BASE``, a malformed history or a benchmark
-child that fails. ``ab HEAD`` is the A/A run: it must never read ``gain``
-or ``regressed``. ``lines`` prints the per-package table every record
+``--claim``; exit 2 on a bad ``BASE``, a ``--workload`` or ``--claim``
+that ``BENCHMARK.json`` does not name, a malformed history or a
+benchmark child that fails (a repeated ``--workload`` runs once).
+``ab HEAD`` is the A/A run: it must never read ``gain`` or
+``regressed``. ``lines`` prints the per-package table every record
 stores as ``src_lines``, each count beside its change since the newest
 record. Stdlib only: imports nothing from ``repro``, writes nothing
 under ``benchmarks/layered/``.
@@ -262,7 +264,12 @@ def ab(args: argparse.Namespace, runner=run_benchmark) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         contract = json.load(f)
     metrics = contract["end_to_end"]
-    workloads = args.workload or [w["name"] for w in contract["workloads"]]
+    known = [w["name"] for w in contract["workloads"]]
+    workloads = list(dict.fromkeys(args.workload or known))
+    for workload in workloads:
+        if workload not in known:
+            raise LedgerError(f"--workload {workload}: not a workload of "
+                              f"BENCHMARK.json")
     if args.claim and args.claim not in {
             f"{w}.{m['name']}" for w in workloads for m in metrics}:
         raise LedgerError(f"--claim {args.claim}: not a WORKLOAD.METRIC "

@@ -4,28 +4,39 @@ Myers' blocked bit-parallel algorithm (the Edlib/GenASM core already
 implemented per pair in :mod:`repro.baselines.myers`) packs 64 DP rows
 of one pattern into a single machine word and advances a whole text
 column with ~17 bitwise operations. This module lifts that recurrence
-onto NumPy uint64 *lanes*: every pair in a length bucket keeps its
-``Pv``/``Mv`` blocks in ``(B, n_blocks)`` uint64 arrays, and one column
-step updates **all B pairs at once** with whole-array bitwise ops --
-two multiplicative parallelism axes (64 rows per word x B pairs per
-NumPy op) on top of the same O(1)-per-64-cells arithmetic.
+onto NumPy uint64 *lanes* laid out along the dependency wavefront, as
+SMX-1D lays its processing elements along an anti-diagonal: block ``k``
+at text column ``j`` needs only block ``k`` at ``j - 1`` and block
+``k - 1`` at ``j``, so every block on one anti-diagonal ``t = j + k``
+is independent. The ``Pv``/``Mv`` words of every pair and block live in
+``(n_blocks, B)`` uint64 arrays, and one step advances the whole
+anti-diagonal of **all B pairs at once** with ~25 whole-array ops on
+its ``(K_active, B)`` slice -- ``m + n_blocks - 1`` steps per bucket
+instead of ``m * n_blocks`` block steps, on top of the same
+O(1)-per-64-cells arithmetic.
 
 Lane layout and carries:
 
 - pattern row ``i`` of pair ``b`` lives in bit ``i % 64`` of word
-  ``[b, i // 64]``; ``Peq[b, symbol, block]`` holds the per-symbol
+  ``[i // 64, b]``; ``Peq[b, symbol, block]`` holds the per-symbol
   match masks (padding rows never set a bit);
-- blocks are swept low to high each column, the horizontal delta
-  ``hout`` of block ``k`` feeding block ``k + 1`` as ``hin`` -- carried
-  as two 0/1 uint64 arrays (``hin_pos``/``hin_neg``) so the chain stays
-  branch-free across lanes;
-- each pair reads its running distance off the *pre-shift* horizontal
-  words of **its own** last block at **its own** boundary bit
+- at step ``t`` block ``k`` advances column ``t - k``; the active
+  blocks are the contiguous slice ``[max(0, t - m + 1), min(K - 1,
+  t)]``, and ``Eq`` is gathered for a bounded chunk of steps at a time
+  in skewed ``(step, block, lane)`` layout;
+- the horizontal delta ``hout`` of block ``k`` is written to row
+  ``k + 1`` of two 0/1 ``(K + 1, B)`` carry arrays (``hin_pos`` /
+  ``hin_neg``), which block ``k + 1`` reads on the next step; row 0
+  stays NW's ``+1`` top row, so the chain is branch-free across lanes;
+- each pair's running distance is the sum of the *pre-shift*
+  horizontal bits of **its own** last block at **its own** boundary bit
   (``(q_len - 1) % 64``), exactly like the scalar
-  :func:`~repro.baselines.myers.myers_edit_distance`;
-- lanes whose text is exhausted (``j >= r_len``) are masked out of the
-  score update (the early-termination mask) -- their words keep
-  sweeping harmlessly but contribute nothing.
+  :func:`~repro.baselines.myers.myers_edit_distance`: every block
+  counts into a per-``(block, lane)`` counter and each lane reads only
+  its last block's at the end;
+- a lane's counts stop once its last block passes its own text length
+  (the early-termination mask) -- its words keep sweeping harmlessly
+  but contribute nothing.
 
 The kernel is global (NW), score-only, unit-cost edit model: distances
 are bit-identical to ``myers_edit_distance`` and to the brute-force
@@ -54,9 +65,10 @@ WORDS_PER_BLOCK_STATE = 2
 #: Mv read-modify-write. Used for ``bytes_moved`` accounting.
 WORDS_PER_BLOCK_STEP = 3
 
-#: Text columns gathered per ``Peq`` lookup chunk: bounds the resident
-#: ``(B, chunk, n_blocks)`` gather without per-column fancy indexing.
-COLUMN_CHUNK = 256
+#: Anti-diagonal steps per ``Eq`` gather: bounds the resident skewed
+#: ``(chunk, n_blocks, B)`` gather. On a 24-lane 2 kb bucket, 256
+#: steps raised peak RSS by 4.5 MiB over 64 steps at equal speed.
+STEP_CHUNK = 64
 
 _ONE = np.uint64(1)
 _TOP = np.uint64(WORD_BITS - 1)
@@ -126,9 +138,9 @@ def pattern_masks(batch: PairBatch, n_symbols: int) -> np.ndarray:
 
 
 def sweep_bitparallel(batch: PairBatch, n_symbols: int = 4,
-                      column_chunk: int = COLUMN_CHUNK,
                       ) -> BitparallelSweep:
-    """Batched blocked-Myers sweep over one length bucket.
+    """Batched blocked-Myers sweep over one length bucket, one
+    anti-diagonal of 64-row blocks per step.
 
     Args:
         batch: The bucket; zero-length patterns/texts are answered
@@ -136,7 +148,6 @@ def sweep_bitparallel(batch: PairBatch, n_symbols: int = 4,
         n_symbols: Declared alphabet size; codes at or beyond it raise
             :class:`~repro.errors.AlignmentError` (with ``pair_index``
             set), matching the scalar baseline's contract.
-        column_chunk: Text columns per ``Peq`` gather chunk.
     """
     _check_codes(batch, n_symbols)
     B = batch.size
@@ -150,78 +161,69 @@ def sweep_bitparallel(batch: PairBatch, n_symbols: int = 4,
         return BitparallelSweep(distance=n + m, cells=cells,
                                 words=words, blocks=blocks)
 
-    n_blocks = -(-batch.n_max // WORD_BITS)
-    peq = pattern_masks(batch, n_symbols)
+    K, m_max = -(-batch.n_max // WORD_BITS), batch.m_max
+    # Flat (symbol, block, lane) masks, and each text code pre-scaled to
+    # its symbol's offset: a chunk's Eq is then one flat take.
+    peq = pattern_masks(batch, n_symbols).transpose(1, 2, 0).ravel()
+    text = batch.r.T.astype(np.intp) * (K * B)
+    slot = np.arange(K * B).reshape(K, B)
     last_block = np.maximum(n - 1, 0) // WORD_BITS
     boundary = (np.maximum(n - 1, 0) % WORD_BITS).astype(np.uint64)
-    n_pos = n > 0
-    m_min = int(m.min())
+    # Lane b's last block reads column t - last_block[b] at step t, a
+    # column of its text while t < end[b].
+    end = m + last_block
 
-    # Per-block contiguous state (lists of (B,) words): strided column
-    # views of a (B, n_blocks) array cost extra per NumPy op, and the
-    # block loop is the hot path.
-    full = np.uint64((1 << WORD_BITS) - 1)
-    pv = [np.full(B, full, dtype=np.uint64) for _ in range(n_blocks)]
-    mv = [np.zeros(B, dtype=np.uint64) for _ in range(n_blocks)]
-    # Which lanes read their score off block k -- precomputed so the
-    # selection only runs for block indices that actually terminate a
-    # pattern in this bucket.
-    sel_masks = [None] * n_blocks
-    for k in range(n_blocks):
-        sel = last_block == k
-        if sel.any():
-            sel_masks[k] = sel
-    ones = np.ones(B, dtype=np.uint64)
-    zeros = np.zeros(B, dtype=np.uint64)
-    lanes = np.arange(B)
-    live_mask = (n_pos & (m > 0)).astype(np.uint64)
-    # Signed deltas would force per-column astype; accumulate +1/-1
+    pv = np.full((K, B), ~np.uint64(0), dtype=np.uint64)
+    mv = np.zeros((K, B), dtype=np.uint64)
+    # Row k is block k's hin: row 0 is NW's top row (+1 per column),
+    # row K catches the last block's unused hout.
+    hin_pos = np.zeros((K + 1, B), dtype=np.uint64)
+    hin_pos[0] = _ONE
+    hin_neg = np.zeros((K + 1, B), dtype=np.uint64)
+    # Signed deltas would force per-step astype; accumulate +1/-1
     # boundary bits in two uint64 counters instead.
-    score_pos = np.zeros(B, dtype=np.uint64)
-    score_neg = np.zeros(B, dtype=np.uint64)
+    score_pos = np.zeros((K, B), dtype=np.uint64)
+    score_neg = np.zeros((K, B), dtype=np.uint64)
 
-    for start in range(0, batch.m_max, column_chunk):
-        stop = min(batch.m_max, start + column_chunk)
-        codes = batch.r[:, start:stop].astype(np.intp)
-        # (B, chunk, n_blocks): one gather per chunk, sliced per column.
-        eq_chunk = peq[lanes[:, None], codes]
-        for j in range(start, stop):
-            eq_col = eq_chunk[:, j - start]
-            # NW mode: the top matrix row increases by 1 per column.
-            hin_pos, hin_neg = ones, zeros
-            ph_sel = mh_sel = zeros
-            for k in range(n_blocks):
-                pv_k = pv[k]
-                mv_k = mv[k]
-                eq = eq_col[:, k] | hin_neg
-                xv = eq | mv_k
-                xh = (((eq & pv_k) + pv_k) ^ pv_k) | eq
-                ph = mv_k | ~(xh | pv_k)
-                mh = pv_k & xh
-                hout_pos = ph >> _TOP
-                hout_neg = mh >> _TOP
-                sel = sel_masks[k]
-                if sel is not None:
-                    if n_blocks == 1:
-                        ph_sel, mh_sel = ph, mh
-                    else:
-                        ph_sel = np.where(sel, ph, ph_sel)
-                        mh_sel = np.where(sel, mh, mh_sel)
-                ph = (ph << _ONE) | hin_pos
-                mh = (mh << _ONE) | hin_neg
-                pv[k] = mh | ~(xv | ph)
-                mv[k] = ph & xv
-                hin_pos, hin_neg = hout_pos, hout_neg
-            # The running bottom-row score: the pre-shift horizontal
-            # bit of each pair's own last block at its boundary bit,
-            # masked to lanes whose text still has columns left.  All
-            # lanes are live before the shortest text runs out.
-            if j >= m_min:
-                live_mask = (n_pos & (j < m)).astype(np.uint64)
-            score_pos += ((ph_sel >> boundary) & _ONE) & live_mask
-            score_neg += ((mh_sel >> boundary) & _ONE) & live_mask
+    steps = m_max + K - 1
+    for first in range(0, steps, STEP_CHUNK):
+        t = np.arange(first, min(steps, first + STEP_CHUNK))
+        column = np.clip(t[:, None] - np.arange(K), 0, m_max - 1)
+        eq_chunk = peq[text[column] + slot]     # (chunk, K, B)
+        live_chunk = (t[:, None] < end).astype(np.uint64)
+        for s, step in enumerate(t.tolist()):
+            lo, hi = max(0, step - m_max + 1), min(K, step + 1)
+            pv_k, mv_k = pv[lo:hi], mv[lo:hi]
+            hp, hn = hin_pos[lo:hi], hin_neg[lo:hi]
+            live = live_chunk[s]
+            eq = eq_chunk[s, lo:hi] | hn
+            xv = eq | mv_k
+            xh = eq & pv_k
+            xh += pv_k
+            xh ^= pv_k
+            xh |= eq
+            ph = xh | pv_k
+            np.invert(ph, out=ph)
+            ph |= mv_k
+            mh = pv_k & xh
+            score_pos[lo:hi] += (ph >> boundary) & live
+            score_neg[lo:hi] += (mh >> boundary) & live
+            # Shift in this block's hin before hout overwrites it as
+            # the next block's.
+            ph_in = ph << _ONE
+            ph_in |= hp
+            mh_in = mh << _ONE
+            mh_in |= hn
+            np.right_shift(ph, _TOP, out=hin_pos[lo + 1:hi + 1])
+            np.right_shift(mh, _TOP, out=hin_neg[lo + 1:hi + 1])
+            np.bitwise_and(ph_in, xv, out=mv_k)
+            xv |= ph_in
+            np.invert(xv, out=xv)
+            np.bitwise_or(mh_in, xv, out=pv_k)
 
-    score = n + score_pos.astype(np.int64) - score_neg.astype(np.int64)
-    distance = np.where(n_pos, score, m)
+    lanes = np.arange(B)
+    score = n + score_pos[last_block, lanes].astype(np.int64) \
+        - score_neg[last_block, lanes].astype(np.int64)
+    distance = np.where(n > 0, score, m)
     return BitparallelSweep(distance=distance, cells=cells,
                             words=words, blocks=blocks)

@@ -366,7 +366,8 @@ class BatchEngine:
                keep: bool | None = None, tally: bool = True,
                **options) -> list[int]:
         """Run ``positions`` of the job (every pair when ``None``)
-        through ``route``: bucketize, then per bucket the deadline
+        through ``route``: bucketize (at the larger of the batch's and
+        the route's granularity), then per bucket the deadline
         check, the fill / latency / progress telemetry under this
         batch's engine label, and per slice one sweep (labelled and
         accounted) and one settle.
@@ -395,7 +396,8 @@ class BatchEngine:
         pair_lat = metrics.distribution("exec.pair_latency_us",
                                         engine=batch.engine)
         rejected: list[int] = []
-        for bucket in bucketize(pairs, batch.bucket_granularity):
+        for bucket in bucketize(
+                pairs, max(batch.bucket_granularity, route.granularity)):
             job.deadline.check(f"{batch.engine} batch")
             if positions is not None:
                 bucket.index = lift[bucket.index]

@@ -81,6 +81,10 @@ class Route:
     score_only: str = ""
     #: The engine the degradation ladder falls back to.
     degrade_to: str = "scalar"
+    #: Floor of the bucket-key rounding: a bucket holds the pairs whose
+    #: lengths round to the same multiple of the larger of this and the
+    #: batch's ``bucket_granularity``.
+    granularity: int = 1
     #: ``empty(run, bucket)`` settles a bucket with a zero-length side
     #: unswept, for kernels whose scalar twin answers those natively.
     empty = None
@@ -496,6 +500,9 @@ class _Bitparallel(_Edit):
     name = engine = "bitparallel"
     what = "engine 'bitparallel'"
     score_only = "the bit vectors carry no path state"
+    # A sweep costs one step per anti-diagonal whatever its lane count,
+    # so every pair of a 64-row block class shares one.
+    granularity = bitparallel_kernel.WORD_BITS
 
     def phase(self, run, piece) -> str:
         return "linear.bitparallel"

@@ -15,8 +15,11 @@ a refactor of ``repro.exec.engine`` must leave alone is recorded:
 
 ``tests/fixtures/engine_characterisation.json`` holds that record as
 taken at the commit *before* the kernel-route registry replaced the
-per-engine loops; ``tests/test_characterisation.py`` asserts the engine
-still reproduces it. Regenerate (only for an intended behaviour
+per-engine loops, except for the bit-parallel route's bucket paths,
+re-recorded when that route began sweeping each 64-row block class as
+one bucket (their cells and bytes sum as before);
+``tests/test_characterisation.py`` asserts the engine still reproduces
+it. Regenerate (only for an intended behaviour
 change) with ``PYTHONPATH=src python -m tests.characterisation``.
 """
 

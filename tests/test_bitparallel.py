@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.api import align, score
 from repro.baselines.myers import myers_edit_distance
-from repro.config import dna_edit_config, dna_gap_config
+from repro.config import dna_edit_config, dna_gap_config, standard_configs
 from repro.encoding.alphabet import DNA
 from repro.errors import AlignmentError, ConfigurationError
 from repro.exec import (
@@ -28,7 +28,7 @@ from repro.exec import (
     plan_routes,
     sweep_bitparallel,
 )
-from repro.exec.bitparallel import pattern_masks
+from repro.exec.bitparallel import STEP_CHUNK, WORD_BITS, pattern_masks
 from repro.exec.planner import (
     ROUTE_BITPARALLEL,
     ROUTE_FULL,
@@ -36,6 +36,7 @@ from repro.exec.planner import (
     PlannerPolicy,
 )
 from repro.obs import Observability
+from repro.workloads.synthetic import ErrorProfile, mutate
 
 CONFIG = dna_edit_config()
 
@@ -133,6 +134,131 @@ class TestKernelProperties:
         peq = pattern_masks(batch, 4)
         union = np.bitwise_or.reduce(peq[0, :, 0])
         assert union == np.uint64((1 << 10) - 1)  # rows 10.. stay clear
+
+
+# ---------------------------------------------------------------------
+# The anti-diagonal schedule
+# ---------------------------------------------------------------------
+
+#: Text lengths at the schedule's seams: shorter than a bucket's block
+#: count (the ramp, where not every block has a column yet), either side
+#: of one Eq gather chunk, and anything up to three chunks.
+_TEXT_LENGTHS = st.one_of(
+    st.integers(0, 5), st.integers(STEP_CHUNK - 2, STEP_CHUNK + 2),
+    st.integers(0, 3 * STEP_CHUNK))
+
+
+class TestAntiDiagonalSchedule:
+    @pytest.mark.parametrize("preset", ["dna-edit", "ascii"])
+    @settings(deadline=None, max_examples=40)
+    @given(lengths=st.lists(st.tuples(st.integers(0, 4 * WORD_BITS),
+                                      _TEXT_LENGTHS),
+                            min_size=1, max_size=6),
+           pool=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    def test_one_bucket_equals_scalar_myers(self, preset, lengths, pool,
+                                            seed):
+        """Queries of 1-4 blocks share one bucket, so lanes enter and
+        leave the skewed schedule at different steps and read their
+        scores off different blocks; every lane equals the scalar
+        Myers. Zero-length pairs fall in buckets of their own. A small
+        symbol pool, drawn anywhere in the alphabet's code range, keeps
+        matches common."""
+        size = standard_configs()[preset].alphabet.size
+        rng = np.random.default_rng(seed)
+        symbols = rng.choice(size, size=pool, replace=False).astype(np.uint8)
+        pairs = [(rng.choice(symbols, n), rng.choice(symbols, m))
+                 for n, m in lengths]
+        for bucket in bucketize(pairs, 10 ** 6):
+            sweep = sweep_bitparallel(bucket, n_symbols=size)
+            for lane, position in enumerate(bucket.index.tolist()):
+                assert sweep.distance[lane] == myers_edit_distance(
+                    *pairs[position], n_symbols=size)
+
+    @pytest.mark.parametrize("n, m", sorted({
+        (n, m) for n in (63, 64, 65, 127, 128, 129, 191, 192, 193)
+        for blocks in [-(-n // WORD_BITS)]
+        for m in (0, 1, blocks - 1, blocks, blocks + 1)}))
+    def test_block_count_seams(self, n, m):
+        """Queries either side of a block edge against texts around
+        their block count, where the ramp and drain of the schedule
+        meet."""
+        rng = np.random.default_rng(1000 * n + m)
+        pair = (DNA.random(n, rng), DNA.random(m, rng))
+        [bucket] = bucketize([pair], 16)
+        assert sweep_bitparallel(bucket).distance[0] \
+            == myers_edit_distance(*pair)
+
+
+def _query_of(rng, reference, rows: int):
+    """A query ``rows`` long, mutated 40 % from ``reference``."""
+    profile = ErrorProfile(substitution=0.2, insertion=0.1, deletion=0.1)
+    query, _ = mutate(reference, profile, DNA, rng)
+    return np.concatenate([query, DNA.random(rows, rng)])[:rows]
+
+
+class TestBlockClassBatch:
+    """Queries that share a 64-row block count sweep as one bucket,
+    whatever the batch's own (finer) bucket granularity."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """12 queries of 2 000 rows and 12 of 2 016 against 2 kb
+        references: two 16-granularity buckets, one block class."""
+        rng = np.random.default_rng(41)
+        pairs = []
+        for rows in (2000, 2016):
+            for _ in range(12):
+                reference = DNA.random(2000, rng)
+                pairs.append((_query_of(rng, reference, rows), reference))
+        return pairs
+
+    @pytest.fixture(scope="class")
+    def distances(self, pairs):
+        return [myers_edit_distance(q, r) for q, r in pairs]
+
+    @staticmethod
+    def _run(pairs, **knobs):
+        ctx = Observability.enabled_context(profile=True)
+        results = BatchEngine(CONFIG, BatchConfig(traceback=False, **knobs),
+                              obs=ctx).run(pairs)
+        sweeps = [path for path in ctx.profiler.stacks
+                  if path[-1] == "linear.bitparallel"]
+        return results, sweeps, ctx.metrics.snapshot()
+
+    @pytest.mark.parametrize("engine", ["bitparallel", "auto"])
+    def test_one_sweep_per_block_class(self, pairs, distances, engine):
+        results, sweeps, counters = self._run(pairs, engine=engine)
+        assert len(sweeps) == 1
+        assert [r.score for r in results] == [-d for d in distances]
+        if engine == "auto":
+            assert counters["exec.plan.bitparallel"] == len(pairs)
+        # Work counts are per lane, so the merged sweep's equal the two
+        # per-bucket sweeps'.
+        buckets = bucketize(pairs, BatchConfig().bucket_granularity)
+        assert len(buckets) == 2
+        per_bucket = [sweep_bitparallel(bucket) for bucket in buckets]
+
+        def total(prefix):
+            return sum(value for key, value in counters.items()
+                       if key.startswith(prefix))
+        assert total("exec.cells") \
+            == sum(int(s.cells.sum()) for s in per_bucket)
+        assert total("exec.bytes_moved") \
+            == 3 * 8 * sum(int(s.words.sum()) for s in per_bucket)
+
+    def test_coarser_batch_granularity_still_wins(self):
+        """Queries of 1 950 and 2 000 rows are two block classes, but
+        one 128-granularity bucket."""
+        rng = np.random.default_rng(43)
+        reference = DNA.random(2000, rng)
+        mixed = [(_query_of(rng, reference, rows), reference)
+                 for rows in (1950, 2000)]
+        for granularity, count in ((16, 2), (128, 1)):
+            results, sweeps, _ = self._run(
+                mixed, engine="bitparallel", bucket_granularity=granularity)
+            assert len(sweeps) == count
+            assert [r.score for r in results] \
+                == [-myers_edit_distance(q, r) for q, r in mixed]
 
 
 # ---------------------------------------------------------------------

@@ -217,10 +217,12 @@ class TestAb:
         ({}, ["HEAD", "--claim", "w1.speed"], 1, "claim not met: w1.speed"),
         ({"change_speed": 150.0}, ["HEAD", "--claim", "w1.speed"], 0, ""),
         ({}, ["HEAD", "--claim", "w1.nope"], 2, "error: --claim w1.nope"),
+        ({}, ["HEAD", "--workload", "w1", "--workload", "nope"], 2,
+         "error: --workload nope: not a workload of BENCHMARK.json"),
         ({}, ["no-such-rev"], 2, "error: git rev-parse"),
         ({"fail_at": 3}, ["HEAD"], 2, "error: benchmark child failed on w1"),
     ], ids=["regressed", "claim-flat", "claim-gain", "claim-unknown",
-            "bad-base", "child-fails"])
+            "workload-unknown", "bad-base", "child-fails"])
     def test_exit_codes(self, scratch, tmp_path, capsys, canned, arguments,
                         code, said):
         runner, history = Runner(**canned), tmp_path / "hist.json"
@@ -231,6 +233,33 @@ class TestAb:
         # and bad arguments are caught before anything runs.
         assert history.exists() == (code != 2)
         assert len(runner.calls) in ((8,) if code != 2 else (0, 3))
+
+    def test_repeated_workload_runs_once_per_pair(
+            self, scratch, tmp_path, capsys):
+        runner, history = Runner(), str(tmp_path / "hist.json")
+        assert ledger.main(["ab", "HEAD", "--pairs", "2", "--workload", "w2",
+                            "--workload", "w1", "--workload", "w2",
+                            "--history", history], runner) == 0
+        assert runner.calls == [
+            ("base", "w2", 1), ("change", "w2", 1),
+            ("base", "w1", 1), ("change", "w1", 1),
+            ("change", "w2", 2), ("base", "w2", 2),
+            ("change", "w1", 2), ("base", "w1", 2)]
+        [record] = ledger.load_history(history)["records"]
+        assert record["pairs"] == 2
+        assert {workload: len(runs) for workload, runs
+                in record["runs"]["change"].items()} == {"w2": 2, "w1": 2}
+        assert "| 0/2 | flat |" in capsys.readouterr().out
+
+    def test_unknown_workload_exits_2_before_building_trees(
+            self, scratch, tmp_path, monkeypatch, capsys):
+        def build_trees(*_):
+            raise AssertionError("trees built for an unknown workload")
+        monkeypatch.setattr(ledger, "build_trees", build_trees)
+        assert ledger.main(["ab", "HEAD", "--workload", "w3", "--history",
+                            str(tmp_path / "hist.json")], Runner()) == 2
+        assert capsys.readouterr().err == \
+            "error: --workload w3: not a workload of BENCHMARK.json\n"
 
     def test_malformed_history_exits_2_before_running(
             self, scratch, tmp_path, capsys):
