@@ -199,8 +199,8 @@ def align_batch(pairs, preset: str | AlignmentConfig = "dna",
     :func:`align`, with bit-identical results. ``engine="scalar"``
     loops the per-pair aligners (the reference path), and
     ``workers > 1`` shards the batch across processes. Pass a full
-    :class:`~repro.exec.BatchConfig` as ``batch`` for banded / X-drop /
-    affine batches; it overrides the convenience arguments.
+    :class:`~repro.exec.BatchConfig` as ``batch`` for banded / affine
+    batches; it overrides the convenience arguments.
 
     Returns one :class:`Alignment` per pair, in submission order. An
     empty ``pairs`` list returns an empty list; zero-length sequences

@@ -26,7 +26,6 @@ from repro.algorithms.banded import BandedAligner
 from repro.algorithms.base import Aligner, AlignerResult
 from repro.algorithms.full import FullAligner
 from repro.algorithms.local import LocalAligner, SemiGlobalAligner
-from repro.algorithms.xdrop import XdropAligner
 from repro.config import AlignmentConfig
 from repro.errors import ConfigurationError
 from repro.exec import kernels, planner as planning, routes
@@ -54,16 +53,15 @@ class BatchConfig:
             vector engine).
         mode: ``"global"``, ``"local"`` or ``"semiglobal"``; the latter
             two require ``algorithm="full"``.
-        algorithm: ``"full"``, ``"affine"``, ``"banded"`` or
-            ``"xdrop"`` (global mode only for the last three).
+        algorithm: ``"full"``, ``"affine"`` or ``"banded"`` (global
+            mode only for the last two).
         traceback: Produce full alignments (CIGARs) instead of scores.
         workers: Shard across this many worker processes when > 1.
         bucket_granularity: Length rounding for bucket keys.
         max_batch_cells: Cap on resident DP cells per vectorized
             traceback chunk (kept move bits and the walk group that
-            shares them, banded corridor, or affine/X-drop matrices).
+            shares them, banded corridor, or affine matrices).
         band_width / band_fraction: Banded half-width (exactly one).
-        xdrop / xdrop_fraction: X-drop threshold (exactly one).
         affine_penalties: Gap parameters for ``algorithm="affine"``.
         deadline_s: Cooperative per-call budget: the engine checks the
             clock between buckets (vector) / pairs (scalar) and raises
@@ -90,8 +88,6 @@ class BatchConfig:
     max_batch_cells: int = 8_000_000
     band_width: int | None = None
     band_fraction: float | None = None
-    xdrop: int | None = None
-    xdrop_fraction: float | None = None
     affine_penalties: AffineGapPenalties | None = None
     deadline_s: float | None = None
     wide_dtype: bool = False
@@ -115,10 +111,6 @@ class BatchConfig:
             raise ConfigurationError(
                 "banded batches need exactly one of band_width / "
                 "band_fraction")
-        if self.algorithm == "xdrop" and \
-                (self.xdrop is None) == (self.xdrop_fraction is None):
-            raise ConfigurationError(
-                "xdrop batches need exactly one of xdrop / xdrop_fraction")
         if self.algorithm == "affine" and self.affine_penalties is None:
             raise ConfigurationError(
                 "algorithm='affine' needs affine_penalties")
@@ -164,10 +156,8 @@ def make_scalar_aligner(batch: BatchConfig) -> Aligner:
         return FullAligner()
     if batch.algorithm == "affine":
         return AffineAligner(batch.affine_penalties)
-    if batch.algorithm == "banded":
-        return BandedAligner(width=batch.band_width,
-                             fraction=batch.band_fraction)
-    return XdropAligner(xdrop=batch.xdrop, fraction=batch.xdrop_fraction)
+    return BandedAligner(width=batch.band_width,
+                         fraction=batch.band_fraction)
 
 
 def _as_pairs(pairs) -> list[tuple[np.ndarray, np.ndarray]]:

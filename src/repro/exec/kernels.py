@@ -19,8 +19,8 @@ Kernels come in two shapes:
   *moves*, not scores -- one byte per cell and plane saying which
   predecessor reproduces ``H[i][j]`` (:class:`KeptMoves`, walked by
   :func:`repro.dp.traceback.walk_moves`); the banded sweep keeps only
-  its corridor (:class:`KeptBand`); the affine and X-drop sweeps still
-  keep full ``(B, n+1, m+1)`` int64 score matrices.
+  its corridor (:class:`KeptBand`); the affine sweep still keeps full
+  ``(B, n+1, m+1)`` int64 score matrices.
 
 Pairs shorter than the bucket rectangle are *frozen* once their rows
 are done (``np.where`` keeps their state), and reductions mask padded
@@ -598,87 +598,3 @@ def sweep_banded(batch: PairBatch, model: ScoringModel,
                    raw.astype(np.int64) + batch.r_len * gap_d)
     return (KeptBand(stored, start, out) if keep else out), cells, widths
 
-
-# ----------------------------------------------------------------------
-# X-drop kernel
-# ----------------------------------------------------------------------
-
-def sweep_xdrop(batch: PairBatch, model: ScoringModel,
-                xdrop: int | None, fraction: float | None, keep: bool,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched X-drop global sweep (same pruning schedule as
-    :class:`~repro.algorithms.xdrop.XdropAligner`).
-
-    Returns ``(scores_or_matrices, cells, max_widths, failed)``; a
-    pair fails when every active cell dropped below ``best - x`` or the
-    final corner was pruned.
-    """
-    B, m_max = batch.r.shape
-    n_max = batch.q.shape[1]
-    table = _score_table(model)
-    gap_i, gap_d = np.int64(model.gap_i), np.int64(model.gap_d)
-    if xdrop is not None:
-        threshold = np.full(B, int(xdrop), dtype=np.int64)
-    else:
-        threshold = np.maximum(1, np.round(
-            fraction * model.theta
-            * np.maximum(batch.q_len, batch.r_len)).astype(np.int64))
-    cols = np.arange(m_max + 1, dtype=np.int64)
-    offsets = cols * gap_d
-    valid = cols[None, :] <= batch.r_len[:, None]
-
-    row = np.where(valid, offsets[None, :], NEG_INF)
-    best = np.where(valid, row, NEG_INF).max(axis=1)
-    row = np.where(row < (best - threshold)[:, None], NEG_INF, row)
-    alive = row > PRUNE_FLOOR
-    lo = np.argmax(alive, axis=1).astype(np.int64)
-    hi = (m_max - np.argmax(alive[:, ::-1], axis=1)).astype(np.int64)
-    cells = hi - lo + 1
-    widths = cells.copy()
-    dropped = np.zeros(B, dtype=bool)
-    matrices = None
-    if keep:
-        matrices = np.full((B, n_max + 1, m_max + 1), NEG_INF,
-                           dtype=np.int64)
-        matrices[:, 0, :] = row
-    out = np.full(B, NEG_INF, dtype=np.int64)
-    done = batch.q_len == 0
-    if done.any():
-        out[done] = row[done, batch.r_len[done]]
-
-    g = np.empty((B, m_max + 1), dtype=np.int64)
-    for i in range(1, n_max + 1):
-        active = (~dropped) & (batch.q_len >= i)
-        if not active.any():
-            break
-        scores = _row_scores(model, table, batch.q[:, i - 1], batch.r)
-        g[:, 0] = np.where(lo == 0, np.int64(i) * gap_i, NEG_INF)
-        np.maximum(row[:, :-1] + scores, row[:, 1:] + gap_i, out=g[:, 1:])
-        new_row = np.maximum.accumulate(g - offsets, axis=1) + offsets
-        window_hi = np.minimum(batch.r_len, hi + 1)
-        col_ok = (cols[None, :] >= lo[:, None]) \
-            & (cols[None, :] <= window_hi[:, None])
-        new_row = np.where(col_ok, new_row, NEG_INF)
-        best = np.where(active, np.maximum(best, new_row.max(axis=1)), best)
-        new_row = np.where(new_row < (best - threshold)[:, None], NEG_INF,
-                           new_row)
-        row = np.where(active[:, None], new_row, row)
-        if keep:
-            matrices[:, i, :] = np.where(active[:, None], new_row, NEG_INF)
-        alive = row > PRUNE_FLOOR
-        any_alive = alive.any(axis=1)
-        dropped |= active & ~any_alive
-        still = active & any_alive
-        new_lo = np.argmax(alive, axis=1).astype(np.int64)
-        new_hi = (m_max - np.argmax(alive[:, ::-1], axis=1)).astype(np.int64)
-        lo = np.where(still, new_lo, lo)
-        hi = np.where(still, new_hi, hi)
-        band_cells = new_hi - new_lo + 1
-        cells += np.where(still, band_cells, 0)
-        np.maximum(widths, np.where(still, band_cells, 0), out=widths)
-        done = (batch.q_len == i) & ~dropped
-        if done.any():
-            out[done] = row[done, batch.r_len[done]]
-    failed = dropped | (out <= PRUNE_FLOOR)
-    result = matrices if keep else out
-    return result, cells, widths, failed

@@ -24,7 +24,7 @@ from repro.algorithms.base import AlignerResult, DPStats
 from repro.algorithms.local import _require_positive_scores
 from repro.algorithms.wavefront import _check_edit_model
 from repro.dp.alignment import Alignment
-from repro.dp.traceback import traceback_banded, traceback_full, walk_moves
+from repro.dp.traceback import traceback_banded, walk_moves
 from repro.errors import AlignmentError
 from repro.exec import bitparallel as bitparallel_kernel
 from repro.exec import kernels
@@ -304,58 +304,12 @@ class _Affine(Route):
         return ()
 
 
-# -- heuristics that can cut a pair off: banded, X-drop -------------------------
+# -- banded corridors ----------------------------------------------------------
 
-class _Pruning(Route):
-    """Shared settle of a sweep that reached the corner of the ``ok``
-    pairs only."""
-
-    #: Failure reason of a cut-off pair: in score mode, with traceback.
-    reasons: tuple[str, str]
-
-    def _settle(self, run, piece, ok, scores, cells, widths, trace,
-                certified: bool = False):
-        """A pair the sweep cut off gets a failed result -- or, when the
-        sweep must be ``certified`` exact, is returned instead, as is a
-        pair whose walk fails. ``trace(b, q_codes, r_codes)`` walks
-        pair ``b`` to ``(cigar, path)``; a pruned path surfaces as a
-        failed result, as in the scalar aligners."""
-        index, results = piece.index, run.results
-        if not run.keep:
-            _store(results, index[ok], scores[ok], cells[ok], widths[ok])
-            if not certified:
-                _store(results, index[~ok], scores[~ok], cells[~ok],
-                       widths[~ok], reason=self.reasons[0])
-        rows = np.flatnonzero(ok) if certified else np.arange(piece.size)
-        if run.keep and rows.size:
-            with run.obs.profiler.phase("traceback"):
-                for b in rows.tolist():
-                    work = int(cells[b])
-                    score, alignment, reason = None, None, self.reasons[1]
-                    if ok[b]:
-                        q_codes, r_codes, n, m = _pair_view(piece, b)
-                        score = int(scores[b])
-                        try:
-                            cigar, path = trace(b, q_codes, r_codes)
-                            alignment, reason = Alignment(
-                                score=score, cigar=cigar, query_len=n,
-                                ref_len=m,
-                                meta={"path_cells": len(path)}), ""
-                        except AlignmentError as exc:
-                            reason, ok[b] = str(exc), not certified
-                    results[int(index[b])] = AlignerResult(
-                        alignment=alignment, score=score,
-                        failed=alignment is None, failure_reason=reason,
-                        stats=DPStats(cells_computed=work,
-                                      cells_stored=work, blocks=1))
-        return index[~ok].tolist() if certified else ()
-
-
-class _Banded(_Pruning):
+class _Banded(Route):
     """The batch's corridor, or (``run.band``) a certified one."""
 
     name = "banded"
-    reasons = ("band too narrow", "band excluded (n, m)")
 
     @staticmethod
     def _band(run: Pass) -> tuple:
@@ -382,47 +336,52 @@ class _Banded(_Pruning):
         return swept, cells, cells * self._dtype(run, piece).itemsize
 
     def settle(self, run, piece, swept):
-        """With ``run.accept``, pairs whose corner score does not prove
-        the band exact are returned instead of settled."""
+        """A pair the band cut off gets a failed result -- or, with
+        ``run.accept``, is returned instead, as is a pair whose corner
+        score does not prove the band exact or whose walk fails. A
+        pruned path surfaces as a failed result, as in the scalar
+        aligner."""
         band, cells, widths = swept
         scores = band.scores if run.keep else band
         ok = scores > kernels.PRUNE_FLOOR
-        if run.accept is not None:
+        certified = run.accept is not None
+        if certified:
             ok &= np.fromiter(
                 map(run.accept, piece.index.tolist(), piece.q_len.tolist(),
                     piece.r_len.tolist(), scores.tolist()),
                 dtype=bool, count=piece.size)
-        return self._settle(
-            run, piece, ok, scores, cells, widths,
-            lambda b, q_codes, r_codes: traceback_banded(
-                band.rows[b], band.start, q_codes, r_codes,
-                run.config.model),
-            certified=run.accept is not None)
-
-
-class _Xdrop(_Pruning):
-    name = "xdrop"
-    reasons = ("alignment dropped", "alignment dropped")
-
-    def phase(self, run, piece) -> str:
-        return "xdrop[int64]"
-
-    def sweep(self, run, piece):
-        swept = kernels.sweep_xdrop(
-            piece, run.config.model, run.batch.xdrop,
-            run.batch.xdrop_fraction, keep=run.keep)
-        cells = int(np.sum(swept[1]))
-        return swept, cells, 8 * cells
-
-    def settle(self, run, piece, swept):
-        matrices, cells, widths, failed = swept
-        scores = matrices[np.arange(piece.size), piece.q_len, piece.r_len] \
-            if run.keep else matrices
-        return self._settle(
-            run, piece, ~failed, scores, cells, widths,
-            lambda b, q_codes, r_codes: traceback_full(
-                matrices[b, :len(q_codes) + 1, :len(r_codes) + 1],
-                q_codes, r_codes, run.config.model))
+        index, results = piece.index, run.results
+        if not run.keep:
+            _store(results, index[ok], scores[ok], cells[ok], widths[ok])
+            if not certified:
+                _store(results, index[~ok], scores[~ok], cells[~ok],
+                       widths[~ok], reason="band too narrow")
+        rows = np.flatnonzero(ok) if certified else np.arange(piece.size)
+        if run.keep and rows.size:
+            with run.obs.profiler.phase("traceback"):
+                for b in rows.tolist():
+                    work = int(cells[b])
+                    score, alignment, reason = None, None, \
+                        "band excluded (n, m)"
+                    if ok[b]:
+                        q_codes, r_codes, n, m = _pair_view(piece, b)
+                        score = int(scores[b])
+                        try:
+                            cigar, path = traceback_banded(
+                                band.rows[b], band.start, q_codes, r_codes,
+                                run.config.model)
+                            alignment, reason = Alignment(
+                                score=score, cigar=cigar, query_len=n,
+                                ref_len=m,
+                                meta={"path_cells": len(path)}), ""
+                        except AlignmentError as exc:
+                            reason, ok[b] = str(exc), not certified
+                    results[int(index[b])] = AlignerResult(
+                        alignment=alignment, score=score,
+                        failed=alignment is None, failure_reason=reason,
+                        stats=DPStats(cells_computed=work,
+                                      cells_stored=work, blocks=1))
+        return index[~ok].tolist() if certified else ()
 
 
 # -- unit-cost edit kernels: wavefront and bit-parallel -------------------------
@@ -525,6 +484,6 @@ class _Bitparallel(_Edit):
         return ()
 
 
-for _route in (_Linear(), _Affine(), _Banded(), _Xdrop(), _Wavefront(),
+for _route in (_Linear(), _Affine(), _Banded(), _Wavefront(),
                _Bitparallel()):
     register(_route)

@@ -14,10 +14,9 @@ rung            meaning
 ``scalar``      Re-run through the per-pair scalar aligners (the
                 reference path): the answer to any fault inside the
                 vectorized engine.
-``exact``       Re-run a *failed heuristic* (banded band too narrow,
-                X-drop pruned the true path) with the exact
-                full-matrix aligner: trades the heuristic's speed for a
-                guaranteed answer.
+``exact``       Re-run a *failed heuristic* (banded band too narrow)
+                with the exact full-matrix aligner: trades the
+                heuristic's speed for a guaranteed answer.
 =============  ========================================================
 
 Every rung actually engaged is recorded in ``repro.obs`` metrics
@@ -35,7 +34,7 @@ from repro.exec import routes
 from repro.exec.engine import BatchConfig
 
 #: Heuristic algorithms the ``exact`` rung can promote.
-HEURISTIC_ALGORITHMS = ("banded", "xdrop")
+HEURISTIC_ALGORITHMS = ("banded",)
 
 
 def exact_config(batch: BatchConfig) -> BatchConfig:

@@ -119,8 +119,8 @@ class ResilienceConfig:
         degrade: Allow the degradation ladder (wide-dtype / scalar /
             exact rungs) after retries are exhausted.
         exact_fallback: Promote heuristic no-result outcomes (banded
-            band too narrow, X-drop pruned) to the exact aligner, as a
-            ``"exact"`` ladder rung. Requires ``degrade``.
+            band too narrow) to the exact aligner, as an ``"exact"``
+            ladder rung. Requires ``degrade``.
         raise_on_failure: Raise (:class:`DeadlineExceeded` or
             :class:`PoisonPairError`) instead of returning an outcome
             with failures.
@@ -412,7 +412,7 @@ class SupervisedEngine:
         self.obs.metrics.counter("resilience.retries").inc()
         self._emit("retry", pairs=len(unit.indices),
                    attempt=unit.attempt + 1)
-        queue.append(replace_unit(unit, attempt=unit.attempt + 1))
+        queue.append(replace(unit, attempt=unit.attempt + 1))
 
     def _backoff(self, unit: _Unit, deadline: Deadline) -> None:
         if unit.attempt <= 0:
@@ -463,7 +463,7 @@ class SupervisedEngine:
                                      rung=rung).inc()
             self._emit("degrade", index=unit.indices[0], rung=rung,
                        fault=unit.fault or "error")
-            queue.append(replace_unit(
+            queue.append(replace(
                 unit, attempt=unit.attempt + 1, rung=rung, config=config,
                 rungs=unit.rungs + (rung,)))
             return True
@@ -473,7 +473,7 @@ class SupervisedEngine:
                  exc: BaseException, charge: bool = True) -> None:
         """Decide what happens to a unit whose execution failed."""
         fault = _classify(exc)
-        unit = replace_unit(unit, fault=fault, error=exc)
+        unit = replace(unit, fault=fault, error=exc)
         if charge:
             self._charge(outcome, unit, fault)
         if fault == "deadline":
@@ -486,10 +486,10 @@ class SupervisedEngine:
             poison = unit.indices[local]
             rest = [i for i in unit.indices if i != poison]
             outcome.bump("isolations")
-            queue.append(replace_unit(unit, indices=[poison],
-                                      attempt=unit.attempt + 1))
-            queue.append(replace_unit(unit, indices=rest, fault=None,
-                                      error=None))
+            queue.append(replace(unit, indices=[poison],
+                                 attempt=unit.attempt + 1))
+            queue.append(replace(unit, indices=rest, fault=None,
+                                 error=None))
             return
         if len(unit.indices) == 1:
             if unit.rung is None and unit.attempt < \
@@ -506,10 +506,10 @@ class SupervisedEngine:
         outcome.bump("bisections")
         self.obs.metrics.counter("resilience.bisections").inc()
         self._emit("bisect", pairs=len(unit.indices), fault=fault)
-        queue.append(replace_unit(unit, indices=unit.indices[:mid],
-                                  attempt=unit.attempt + 1))
-        queue.append(replace_unit(unit, indices=unit.indices[mid:],
-                                  attempt=unit.attempt + 1))
+        queue.append(replace(unit, indices=unit.indices[:mid],
+                             attempt=unit.attempt + 1))
+        queue.append(replace(unit, indices=unit.indices[mid:],
+                             attempt=unit.attempt + 1))
 
     def _fail_unit(self, outcome: BatchOutcome, unit: _Unit,
                    exc: BaseException | None) -> None:
@@ -567,7 +567,7 @@ class SupervisedEngine:
                    predicted_s=round(predicted, 6))
         if not kept:
             return None
-        return replace_unit(
+        return replace(
             unit, indices=[unit.indices[local] for local in kept])
 
     def _shed_pairs(self, outcome: BatchOutcome, unit: _Unit,
@@ -619,7 +619,7 @@ class SupervisedEngine:
         """Bank a unit's results; peel off corrupt / promotable pairs."""
         flagged = set(self._validate_unit(unit, results))
         for local in sorted(flagged):
-            corrupt = replace_unit(
+            corrupt = replace(
                 unit, indices=[unit.indices[local]],
                 attempt=unit.attempt + 1, fault="bitflip",
                 error=AlignmentError("result failed validation"))
@@ -627,8 +627,7 @@ class SupervisedEngine:
             if corrupt.attempt <= self.resilience.max_retries and \
                     corrupt.rung is None:
                 self._requeue_retry(queue, outcome,
-                                    replace_unit(corrupt,
-                                                 attempt=unit.attempt))
+                                    replace(corrupt, attempt=unit.attempt))
             elif not self._enqueue_rung(queue, outcome, corrupt):
                 self._quarantine(outcome, corrupt)
         for local, result in enumerate(results):
@@ -642,7 +641,7 @@ class SupervisedEngine:
                     and "exact" not in unit.rungs):
                 # Heuristic gave up (band too narrow / path pruned):
                 # promote this pair to the exact aligner.
-                promoted = replace_unit(
+                promoted = replace(
                     unit, indices=[index], attempt=unit.attempt,
                     fault="alignment",
                     error=AlignmentError(result.failure_reason or
@@ -859,15 +858,14 @@ class SupervisedEngine:
                 # futures break too, through no fault of their own --
                 # those requeue uncharged at the same attempt.
                 if generation in self._charged_generations:
-                    queue.append(replace_unit(unit, fault=None,
-                                              error=None))
+                    queue.append(replace(unit, fault=None, error=None))
                 else:
                     self._charged_generations.add(generation)
                     self._dispose(queue, outcome, unit, exc)
             except CancelledError:
                 # Lost to an executor taint before it started; re-run
                 # as if never submitted.
-                queue.append(replace_unit(unit, fault=None, error=None))
+                queue.append(replace(unit, fault=None, error=None))
             except Exception as exc:  # noqa: BLE001 - classified below
                 self._dispose(queue, outcome, unit, exc)
             else:
@@ -939,12 +937,3 @@ def cut_units(pairs, cap: int | None,
     return [order[start:start + cap]
             for start in range(0, len(order), cap)]
 
-
-def replace_unit(unit: _Unit, **changes) -> _Unit:
-    """``dataclasses.replace`` for units (fresh lists, shared pairs)."""
-    merged = {"indices": list(unit.indices), "attempt": unit.attempt,
-              "rung": unit.rung, "config": unit.config,
-              "rungs": unit.rungs, "fault": unit.fault,
-              "error": unit.error}
-    merged.update(changes)
-    return _Unit(**merged)

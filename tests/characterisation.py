@@ -17,10 +17,14 @@ a refactor of ``repro.exec.engine`` must leave alone is recorded:
 taken at the commit *before* the kernel-route registry replaced the
 per-engine loops, except for the bit-parallel route's bucket paths,
 re-recorded when that route began sweeping each 64-row block class as
-one bucket (their cells and bytes sum as before);
+one bucket (their cells and bytes sum as before), and for the eight
+batched X-drop cases, deleted with that route;
 ``tests/test_characterisation.py`` asserts the engine still reproduces
-it. Regenerate (only for an intended behaviour
-change) with ``PYTHONPATH=src python -m tests.characterisation``.
+it. ``tests/fixtures/xdrop_characterisation.json`` holds the per-pair
+records of those X-drop cases as the retired route answered them; the
+scalar ``XdropAligner``, the one X-drop path, must reproduce them.
+Regenerate both (only for an intended behaviour change) with
+``PYTHONPATH=src python -m tests.characterisation``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import os
 
 import numpy as np
 
+from repro.algorithms import XdropAligner
 from repro.algorithms.affine import AffineGapPenalties
 from repro.config import standard_configs
 from repro.exec.engine import BatchConfig, BatchEngine
@@ -39,6 +44,8 @@ from repro.workloads.synthetic import ErrorProfile, mutate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "engine_characterisation.json")
+XDROP_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                             "xdrop_characterisation.json")
 
 SEED = 0x534D58
 
@@ -134,8 +141,6 @@ _ALGORITHMS = (
      {"affine_penalties": AffineGapPenalties(open=-6, extend=-1)}),
     ("global", "banded", {"band_width": 6}),
     ("global", "banded", {"band_fraction": 0.1}),
-    ("global", "xdrop", {"xdrop": 12}),
-    ("global", "xdrop", {"xdrop_fraction": 0.1}),
 )
 
 _TIGHT_POLICY = PlannerPolicy(probe_slack=1, band_slack=0,
@@ -228,6 +233,15 @@ def _cases():
 CASES = {name: (config, corpus, batch)
          for name, config, corpus, batch in _cases()}
 
+#: The scalar X-drop path on the gap seam corpus, under the two
+#: thresholds the retired batched X-drop route was characterised with:
+#: ``name -> (XdropAligner keywords, traceback)``.
+XDROP_CASES = {f"{knob}-{'cigar' if traceback else 'score'}":
+               (threshold, traceback)
+               for knob, threshold in (("xdrop", {"xdrop": 12}),
+                                       ("xdrop_fraction", {"fraction": 0.1}))
+               for traceback in (True, False)}
+
 
 def _pair_record(result) -> list:
     alignment = result.alignment
@@ -263,15 +277,30 @@ def characterise(name: str) -> dict:
     return json.loads(json.dumps(record))
 
 
-def main() -> None:
-    document = {name: characterise(name) for name in CASES}
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
+def characterise_xdrop(name: str) -> list:
+    """The per-pair records of one scalar X-drop case."""
+    threshold, traceback = XDROP_CASES[name]
+    config = CONFIGS["dna-gap"]
+    aligner = XdropAligner(**threshold)
+    run = aligner.align if traceback else aligner.compute_score
+    return json.loads(json.dumps([_pair_record(run(q, r, config.model))
+                                  for q, r in seam_corpus(config)]))
+
+
+def _write(path: str, document: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     lines = [json.dumps(name) + ":" + json.dumps(
         record, separators=(",", ":"), sort_keys=True)
         for name, record in sorted(document.items())]
-    with open(FIXTURE, "w", encoding="utf-8") as handle:   # a case a line
+    with open(path, "w", encoding="utf-8") as handle:   # a case a line
         handle.write("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"{FIXTURE}: {len(document)} cases")
+    print(f"{path}: {len(document)} cases")
+
+
+def main() -> None:
+    _write(FIXTURE, {name: characterise(name) for name in CASES})
+    _write(XDROP_FIXTURE,
+           {name: characterise_xdrop(name) for name in XDROP_CASES})
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ from repro.algorithms import (
 )
 from repro.errors import AlignmentError
 from repro.workloads.synthetic import ONT_NANOPORE, mutate
+from tests.characterisation import seam_corpus
 from tests.conftest import make_pair
+from tests.oracle import cached_oracle
 
 
 @pytest.fixture()
@@ -23,6 +25,18 @@ def gold():
 
 def similar_pair(config, n, rng, rate=0.05):
     return make_pair(config, n, rate, rng)
+
+
+def _xdrop_matrix():
+    """The thresholds the retired batched X-drop route was tested with,
+    ``x {score, traceback}``."""
+    for label, threshold in (("xdrop12", {"xdrop": 12}),
+                             ("xdrop30", {"xdrop": 30}),
+                             ("fraction10", {"fraction": 0.1})):
+        for traceback in (False, True):
+            yield pytest.param(
+                threshold, traceback,
+                id=f"{label}-{'cigar' if traceback else 'score'}")
 
 
 class TestFullAligner:
@@ -135,6 +149,47 @@ class TestXdropAligner:
         result = XdropAligner(fraction=0.10).align(q, r, config.model)
         if not result.failed:
             result.alignment.validate(q, r, config.model)
+
+    @pytest.mark.parametrize("threshold, traceback", _xdrop_matrix())
+    def test_seam_corpus_answers_to_the_oracle(self, configs, threshold,
+                                               traceback):
+        """A dropped pair says why; a settled one never beats the
+        brute-force optimum and its CIGAR rescores to its score."""
+        config = configs["dna-gap"]
+        aligner = XdropAligner(**threshold)
+        run = aligner.align if traceback else aligner.compute_score
+        pairs = seam_corpus(config)
+        settled = 0
+        for q, r in pairs:
+            result = run(q, r, config.model)
+            if result.failed:
+                assert result.failure_reason
+                continue
+            settled += 1
+            want, _ = cached_oracle("global", config, q, r)
+            assert result.score <= want
+            if traceback:
+                assert result.alignment.rescore(q, r, config.model) \
+                    == result.score
+        assert settled >= len(pairs) // 2
+
+    @pytest.mark.parametrize("threshold, traceback", _xdrop_matrix())
+    def test_same_answer_alone_and_in_any_order(self, configs, threshold,
+                                                traceback):
+        """One aligner reused over the corpus, forwards or backwards,
+        answers each pair as a fresh aligner does."""
+        config = configs["dna-gap"]
+        pairs = seam_corpus(config)
+
+        def answers(aligner, order):
+            run = aligner.align if traceback else aligner.compute_score
+            return [run(*pairs[i], config.model) for i in order]
+
+        shared = XdropAligner(**threshold)
+        forward = answers(shared, range(len(pairs)))
+        assert forward == [answers(XdropAligner(**threshold), [i])[0]
+                           for i in range(len(pairs))]
+        assert forward == answers(shared, reversed(range(len(pairs))))[::-1]
 
 
 class TestHirschbergAligner:

@@ -145,14 +145,17 @@ class TestSingleClassChaos:
             assert failure.error_type == "Validation"
 
     def test_hang(self, config, pairs, baseline):
-        # The hang must exceed the sum of every staggered timeout wait
-        # (not just one shard_timeout_s), or a late wave shard's
-        # sleeping execution could finish before its turn to be waited
-        # on and sneak its results in.
+        workers, timeout_s = 8, 0.2
         plan = ChaosPlan(seed=505, hang=RATE, hang_s=2.0)
+        # The timeout leaves a healthy shard room on a loaded machine,
+        # and the hang exceeds the sum of every staggered timeout wait
+        # of the wave (not just one), or a late wave shard's sleeping
+        # execution could finish before its turn to be waited on and
+        # sneak its results in.
+        assert workers * timeout_s < plan.hang_s
         outcome = SupervisedEngine(
-            config, BatchConfig(workers=8),
-            _policy(shard_timeout_s=0.05, max_retries=1),
+            config, BatchConfig(workers=workers),
+            _policy(shard_timeout_s=timeout_s, max_retries=1),
             plan=plan).run(pairs)
         _check_contract(outcome, baseline, plan, pairs, "hang")
         for failure in outcome.failures:

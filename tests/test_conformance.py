@@ -278,10 +278,6 @@ def _batch_cases(config):
                     band_fraction=0.15, traceback=True),
         BatchConfig(engine="vector", algorithm="banded",
                     band_fraction=0.15, traceback=False),
-        BatchConfig(engine="vector", algorithm="xdrop",
-                    xdrop_fraction=0.1, traceback=True),
-        BatchConfig(engine="vector", algorithm="xdrop",
-                    xdrop_fraction=0.1, traceback=False),
     ]
     if config.model.smax > 0:
         cases.append(BatchConfig(engine="vector", mode="local",

@@ -63,8 +63,6 @@ CASES = {
                    extra=(PENALTIES.open, PENALTIES.extend), canonical=True),
     "banded": Case("dna-gap", {"algorithm": "banded", "band_width": 8},
                    exact=False),
-    "xdrop": Case("dna-gap", {"algorithm": "xdrop", "xdrop": 30},
-                  exact=False),
     "wavefront": Case("dna-edit"),
     "bitparallel": Case("dna-edit"),
 }
@@ -178,3 +176,9 @@ def test_toy_route_is_gone_again():
     with pytest.raises(ValueError, match="engine must be one of"):
         job_from_dict({**job_to_dict(JobSpec(
             job_id="job-toy", pairs=[("ACGT", "ACGA")])), "engine": "toy"})
+    # So is the retired batched X-drop route: XdropAligner is the one
+    # X-drop path.
+    assert routes.algorithms() == ("full", "affine", "banded")
+    with pytest.raises(ConfigurationError,
+                       match="unknown algorithm 'xdrop'"):
+        BatchConfig(algorithm="xdrop")
