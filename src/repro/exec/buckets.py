@@ -1,11 +1,15 @@
-"""Length-bucketing for batched alignment (the Scrooge/GenASM recipe).
+"""Length-bucketing for batched alignment, priced by the sweep it buys.
 
 Batched DP kernels sweep every pair in a batch with the same row
 schedule, so pairs are grouped into *buckets* of similar (n, m) and
-padded up to the bucket's rectangle. Padding is pure waste --
-``PairBatch.fill_ratio`` measures it -- so bucket keys round lengths up
-to a configurable granularity: coarse enough to form large batches,
-fine enough to keep the fill ratio high.
+padded up to the bucket's rectangle. Padding is waste --
+``PairBatch.fill_ratio`` measures it -- but so is a bucket: every row
+sweep pays a fixed NumPy dispatch cost whatever its width, and a small
+bucket pays it for few cells. :func:`bucketize` therefore groups pairs
+by their lengths rounded up to the finest rounding (the Scrooge/GenASM
+recipe), then merges adjacent groups whenever one sweep of the union
+is modelled no dearer than two (:func:`sweep_cost`): a large batch
+keeps its fine buckets, a small one sweeps a few coarse ones.
 
 Padding is functionally invisible: DP dependencies only flow right/down,
 so cells at ``(i <= q_len, j <= r_len)`` never read a padded cell, and
@@ -25,6 +29,10 @@ from repro.errors import ConfigurationError
 #: Padding code: 0 is valid in every alphabet, and padded cells are
 #: never read back, so any in-range value works.
 PAD_CODE = 0
+
+#: Padded cells one row sweep is worth: the fixed per-row NumPy
+#: dispatch cost of a sweep, in cells (fit in EXPERIMENTS E29).
+STEP_CELLS = 4096
 
 
 @dataclass
@@ -92,13 +100,24 @@ def bucket_key(pair: tuple[np.ndarray, np.ndarray],
             _round_up(len(pair[1]), granularity))
 
 
+def sweep_cost(size: int, n_max: int, m_max: int) -> int:
+    """Modelled cost, in cells, of sweeping a ``size``-pair bucket
+    padded to ``n_max x m_max``: per row a fixed :data:`STEP_CELLS`
+    plus the row's padded cells."""
+    return n_max * (STEP_CELLS + size * (m_max + 1))
+
+
 def bucketize(pairs: list[tuple[np.ndarray, np.ndarray]],
               granularity: int = 16) -> list[PairBatch]:
     """Group (query, reference) code pairs into padded length buckets.
 
-    Bucket keys are ``(ceil(n / g) * g, ceil(m / g) * g)``; arrays are
-    padded to the *actual* maximum length inside each bucket (never
-    beyond the key), so a bucket of uniform-length pairs has fill
+    Pairs are grouped by :func:`bucket_key`; walking the keys in order,
+    a group joins the bucket before it when one sweep of the union
+    costs no more than the two (:func:`sweep_cost`), so every bucket is
+    modelled no dearer than its groups swept apart. A group with a
+    zero-length side never merges, so a route's ``empty`` path still
+    answers it. Arrays are padded to the *actual* maximum lengths
+    inside each bucket, so a bucket of uniform-length pairs has fill
     ratio 1.0.
     """
     if granularity < 1:
@@ -107,9 +126,23 @@ def bucketize(pairs: list[tuple[np.ndarray, np.ndarray]],
     groups: dict[tuple[int, int], list[int]] = defaultdict(list)
     for position, pair in enumerate(pairs):
         groups[bucket_key(pair, granularity)].append(position)
-    batches = []
+    runs: list[list[int]] = []
+    shape = None    # (size, n_max, m_max) of the last run while it may grow
     for key in sorted(groups):
         members = groups[key]
+        own = (len(members), max(len(pairs[p][0]) for p in members),
+               max(len(pairs[p][1]) for p in members))
+        if shape is not None and 0 not in key:
+            union = (shape[0] + own[0], max(shape[1], own[1]),
+                     max(shape[2], own[2]))
+            if sweep_cost(*union) <= sweep_cost(*shape) + sweep_cost(*own):
+                runs[-1] += members
+                shape = union
+                continue
+        runs.append(members)
+        shape = None if 0 in key else own
+    batches = []
+    for members in runs:
         q_len = np.array([len(pairs[p][0]) for p in members],
                          dtype=np.int64)
         r_len = np.array([len(pairs[p][1]) for p in members],

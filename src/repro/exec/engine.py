@@ -57,7 +57,9 @@ class BatchConfig:
             mode only for the last two).
         traceback: Produce full alignments (CIGARs) instead of scores.
         workers: Shard across this many worker processes when > 1.
-        bucket_granularity: Length rounding for bucket keys.
+        bucket_granularity: Finest length rounding of bucket keys;
+            :func:`~repro.exec.buckets.bucketize` merges adjacent keys
+            whose one sweep costs less than two.
         max_batch_cells: Cap on resident DP cells per vectorized
             traceback chunk (kept move bits and the walk group that
             shares them, banded corridor, or affine matrices).
@@ -356,8 +358,7 @@ class BatchEngine:
                keep: bool | None = None, tally: bool = True,
                **options) -> list[int]:
         """Run ``positions`` of the job (every pair when ``None``)
-        through ``route``: bucketize (at the larger of the batch's and
-        the route's granularity), then per bucket the deadline
+        through ``route``: bucketize, then per bucket the deadline
         check, the fill / latency / progress telemetry under this
         batch's engine label, and per slice one sweep (labelled and
         accounted) and one settle.
@@ -386,8 +387,7 @@ class BatchEngine:
         pair_lat = metrics.distribution("exec.pair_latency_us",
                                         engine=batch.engine)
         rejected: list[int] = []
-        for bucket in bucketize(
-                pairs, max(batch.bucket_granularity, route.granularity)):
+        for bucket in bucketize(pairs, batch.bucket_granularity):
             job.deadline.check(f"{batch.engine} batch")
             if positions is not None:
                 bucket.index = lift[bucket.index]
@@ -487,11 +487,12 @@ class BatchEngine:
         traceback equals the full-matrix traceback bit for bit.
         Returns positions demoted to the full kernel."""
         traceback = self.batch.traceback
+        # Each pair's own cap, so bucket-mates never change its route.
+        caps = policy.probe_slack * np.maximum(8, np.asarray(estimates))
         demoted = self._sweep(
             job, routes.ROUTES[planning.ROUTE_WAVEFRONT], positions,
             keep=False, tally=not traceback,
-            cap=lambda piece: policy.probe_slack * max(
-                8, max(estimates[p] for p in piece.index.tolist())))
+            cap=lambda piece: caps[piece.index])
         if not traceback:
             return demoted
         blown, bands = set(demoted), []

@@ -84,9 +84,9 @@ class PlannerPolicy:
             beyond it the pair pays the full kernel directly.
         min_length: Pairs with ``max(n, m)`` below this go straight to
             the full kernel -- too small for routing to pay off.
-        probe_slack: The wavefront sweep of an auto-routed bucket is
-            capped at ``probe_slack * max(estimated distance, 8)``;
-            pairs that blow the cap demote to the full kernel instead
+        probe_slack: The wavefront sweep of each auto-routed pair is
+            capped at ``probe_slack * max(its estimated distance, 8)``;
+            pairs that blow their cap demote to the full kernel instead
             of sweeping O(n + m) wavefronts.
         band_slack: Extra half-width added to the first banded try so
             mild underestimates still certify without a widening pass.

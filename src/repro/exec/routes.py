@@ -48,8 +48,8 @@ class Pass:
             the batch's.
         accept: ``accept(position, n, m, score)``; a banded result it
             does not prove exact is rejected instead of stored.
-        cap: ``cap(piece)``, the wavefront distance cap, when not the
-            batch's ``wavefront_max_score``.
+        cap: ``cap(piece)``, the wavefront distance cap (one, or one
+            per pair), when not the batch's ``wavefront_max_score``.
         kept: Kept records whose shared group walk is still due.
     """
 
@@ -81,10 +81,6 @@ class Route:
     score_only: str = ""
     #: The engine the degradation ladder falls back to.
     degrade_to: str = "scalar"
-    #: Floor of the bucket-key rounding: a bucket holds the pairs whose
-    #: lengths round to the same multiple of the larger of this and the
-    #: batch's ``bucket_granularity``.
-    granularity: int = 1
     #: ``empty(run, bucket)`` settles a bucket with a zero-length side
     #: unswept, for kernels whose scalar twin answers those natively.
     empty = None
@@ -459,9 +455,6 @@ class _Bitparallel(_Edit):
     name = engine = "bitparallel"
     what = "engine 'bitparallel'"
     score_only = "the bit vectors carry no path state"
-    # A sweep costs one step per anti-diagonal whatever its lane count,
-    # so every pair of a 64-row block class shares one.
-    granularity = bitparallel_kernel.WORD_BITS
 
     def phase(self, run, piece) -> str:
         return "linear.bitparallel"

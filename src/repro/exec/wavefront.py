@@ -17,8 +17,8 @@ the scalar aligner (the conformance suite locks this). Only the
 unit-cost edit model is supported -- callers must check
 :func:`repro.algorithms.wavefront._check_edit_model` first.
 
-A ``max_score`` cap bounds the sweep: pairs whose distance exceeds the
-cap come back flagged in ``exceeded`` (instead of raising, as the
+A ``max_score`` cap bounds the sweep: pairs whose distance exceeds
+their cap come back flagged in ``exceeded`` (instead of raising, as the
 scalar aligner does) so the engine can fall back to the full kernel.
 """
 
@@ -115,7 +115,7 @@ def _extend_points(q: np.ndarray, r: np.ndarray, q_len: np.ndarray,
 
 
 def sweep_wavefront(batch: PairBatch, model=None,
-                    max_score: int | None = None,
+                    max_score: int | np.ndarray | None = None,
                     keep: bool = False) -> WavefrontSweep:
     """Batched edit-wavefront sweep over one length bucket.
 
@@ -124,7 +124,8 @@ def sweep_wavefront(batch: PairBatch, model=None,
             (distance ``n + m``, a pure-gap alignment).
         model: Unused (the kernel is edit-model only); accepted for
             signature parity with the other kernels.
-        max_score: Per-pair distance cap; pairs that pass it stop
+        max_score: Distance cap, one for every pair or a ``(B,)``
+            array of per-pair caps; pairs that pass theirs stop
             sweeping and come back in ``exceeded``. ``None`` means
             ``n + m`` (never exceeded), like the scalar aligner.
         keep: Keep every per-score wavefront window for the traceback.
@@ -133,10 +134,8 @@ def sweep_wavefront(batch: PairBatch, model=None,
     q, r = batch.q, batch.r
     n = batch.q_len.astype(np.int64)
     m = batch.r_len.astype(np.int64)
-    if max_score is None:
-        limit = n + m
-    else:
-        limit = np.full(B, int(max_score), dtype=np.int64)
+    limit = n + m if max_score is None else np.broadcast_to(
+        np.asarray(max_score, dtype=np.int64), (B,))
     target = m - n
 
     distance = np.full(B, -1, dtype=np.int64)

@@ -17,10 +17,18 @@ a refactor of ``repro.exec.engine`` must leave alone is recorded:
 taken at the commit *before* the kernel-route registry replaced the
 per-engine loops, except for the bit-parallel route's bucket paths,
 re-recorded when that route began sweeping each 64-row block class as
-one bucket (their cells and bytes sum as before), and for the eight
-batched X-drop cases, deleted with that route;
-``tests/test_characterisation.py`` asserts the engine still reproduces
-it. ``tests/fixtures/xdrop_characterisation.json`` holds the per-pair
+one bucket (their cells and bytes sum as before), for the eight
+batched X-drop cases, deleted with that route, and for two changes
+re-recorded when ``bucketize`` began merging adjacent length buckets
+and the auto probe began capping each pair on its own estimate: every
+bucket path and phase label, and the ``DPStats`` and work counters of
+the tight-policy auto pairs that their own cap now demotes. Scores,
+CIGARs, meta, failure reasons and raised errors are as recorded, and
+the fixed engines' cells and bytes sum as before -- except in
+``bitparallel-violating``, which now raises its error before sweeping
+anything, the bucket it used to sweep first having merged into the
+violating pair's. ``tests/test_characterisation.py`` asserts the
+engine still reproduces it. ``tests/fixtures/xdrop_characterisation.json`` holds the per-pair
 records of those X-drop cases as the retired route answered them; the
 scalar ``XdropAligner``, the one X-drop path, must reproduce them.
 Regenerate both (only for an intended behaviour change) with

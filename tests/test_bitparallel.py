@@ -203,7 +203,7 @@ class TestBlockClassBatch:
     @pytest.fixture(scope="class")
     def pairs(self):
         """12 queries of 2 000 rows and 12 of 2 016 against 2 kb
-        references: two 16-granularity buckets, one block class."""
+        references: two 16-granularity bucket keys, one block class."""
         rng = np.random.default_rng(41)
         pairs = []
         for rows in (2000, 2016):
@@ -233,8 +233,9 @@ class TestBlockClassBatch:
         if engine == "auto":
             assert counters["exec.plan.bitparallel"] == len(pairs)
         # Work counts are per lane, so the merged sweep's equal the two
-        # per-bucket sweeps'.
-        buckets = bucketize(pairs, BatchConfig().bucket_granularity)
+        # per-class sweeps'.
+        buckets = [bucket for rows in (pairs[:12], pairs[12:])
+                   for bucket in bucketize(rows)]
         assert len(buckets) == 2
         per_bucket = [sweep_bitparallel(bucket) for bucket in buckets]
 
@@ -248,15 +249,15 @@ class TestBlockClassBatch:
 
     def test_coarser_batch_granularity_still_wins(self):
         """Queries of 1 950 and 2 000 rows are two block classes, but
-        one 128-granularity bucket."""
+        one sweep of both costs less than two, at any granularity."""
         rng = np.random.default_rng(43)
         reference = DNA.random(2000, rng)
         mixed = [(_query_of(rng, reference, rows), reference)
                  for rows in (1950, 2000)]
-        for granularity, count in ((16, 2), (128, 1)):
+        for granularity in (16, 128):
             results, sweeps, _ = self._run(
                 mixed, engine="bitparallel", bucket_granularity=granularity)
-            assert len(sweeps) == count
+            assert len(sweeps) == 1
             assert [r.score for r in results] \
                 == [-myers_edit_distance(q, r) for q, r in mixed]
 

@@ -2,8 +2,9 @@
 
 ``tests/fixtures/engine_characterisation.json`` was generated by
 ``tests/characterisation.py`` at the commit before the kernel-route
-registry replaced the per-engine loops: results, ``DPStats``, failure
-reasons, work counters and profiler stack paths must all be unchanged.
+registry replaced the per-engine loops, re-recorded where that
+module's docstring says: results, ``DPStats``, failure reasons, work
+counters and profiler stack paths must all be unchanged.
 ``tests/fixtures/xdrop_characterisation.json`` holds what the retired
 batched X-drop route answered per pair; the scalar ``XdropAligner``
 must answer the same.

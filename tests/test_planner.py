@@ -25,7 +25,7 @@ from repro.algorithms.wavefront import WavefrontAligner
 from repro.api import align, align_batch, score, score_batch
 from repro.config import dna_edit_config, dna_gap_config, standard_configs
 from repro.errors import ConfigurationError
-from repro.exec.buckets import bucketize
+from repro.exec.buckets import bucket_key, bucketize
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.exec.planner import (
     ROUTE_BANDED,
@@ -247,8 +247,9 @@ class TestLinearWalkGroups:
     def test_unit_spread_over_buckets_is_walked_once(self, rng):
         pairs = [make_pair(GAP, 24 + 16 * (index % 7), 0.05, rng)
                  for index in range(32)]
-        buckets = len(bucketize(pairs, BatchConfig().bucket_granularity))
-        assert buckets >= 6
+        granularity = BatchConfig().bucket_granularity
+        assert len({bucket_key(pair, granularity) for pair in pairs}) >= 6
+        buckets = len(bucketize(pairs, granularity))
         obs = Observability.enabled_context(profile=True)
         results = BatchEngine(GAP, BatchConfig(), obs=obs).run(pairs)
         kernels = sum(stat.calls
@@ -394,14 +395,38 @@ class TestAutoEngineConformance:
     @settings(deadline=None, max_examples=20)
     @given(pairs=pair_batches(max_pairs=8), seed=st.integers(0, 2**32 - 1))
     def test_auto_is_order_invariant(self, pairs, seed):
-        batch = BatchConfig(engine="auto", traceback=True)
-        baseline = BatchEngine(EDIT, batch).run(pairs)
+        """Each pair's whole result, stats included, is the one it gets
+        alone: neither its bucket-mates nor their order move it."""
+        engine = BatchEngine(EDIT, BatchConfig(engine="auto",
+                                               traceback=True))
+        baseline = engine.run(pairs)
+        assert baseline == [engine.run([pair])[0] for pair in pairs]
         order = np.random.default_rng(seed).permutation(len(pairs))
-        shuffled = BatchEngine(EDIT, batch).run([pairs[i] for i in order])
-        for position, original in enumerate(order):
-            assert shuffled[position].score == baseline[original].score
-            assert (shuffled[position].alignment.cigar
-                    == baseline[original].alignment.cigar)
+        shuffled = engine.run([pairs[i] for i in order])
+        assert shuffled == [baseline[i] for i in order]
+
+    @pytest.mark.parametrize("traceback", [True, False])
+    def test_bucket_mate_never_lifts_a_probe_cap(self, traceback):
+        """Two swapped 30-base homopolymer runs cost 60 edits but share
+        almost every k-mer, so the pair blows its own probe cap and
+        demotes when run alone; a divergent bucket-mate with a larger
+        estimate must not lift that cap and keep it on the wavefront
+        route."""
+        rng = np.random.default_rng(29)
+        left, right = EDIT.alphabet.random(70, rng), \
+            EDIT.alphabet.random(70, rng)
+        a, c = np.zeros(30, dtype=np.uint8), np.ones(30, dtype=np.uint8)
+        pairs = [(np.concatenate([left, a, c, right]),
+                  np.concatenate([left, c, a, right])),
+                 make_pair(EDIT, 200, 0.15, rng)]
+        policy = PlannerPolicy()
+        labels, estimates = plan_routes(pairs, EDIT.model, policy)
+        assert labels == [ROUTE_WAVEFRONT, ROUTE_WAVEFRONT]
+        assert policy.probe_slack * max(8, estimates[0]) < 60 \
+            <= policy.probe_slack * estimates[1]
+        engine = BatchEngine(EDIT, BatchConfig(engine="auto",
+                                               traceback=traceback))
+        assert engine.run(pairs) == [engine.run([pair])[0] for pair in pairs]
 
     def test_auto_locks_to_oracle_on_mixed_corpus(self, rng):
         """Seeded corpus spanning all three routes: every score and

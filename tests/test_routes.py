@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 import repro.exec
@@ -109,10 +110,21 @@ def test_route_answers_to_the_oracle(route, case, traceback):
     assert settled > len(pairs) // 2
 
 
+def _spread(config) -> list:
+    """Pairs of every length 0-70 in steps of 5 against partners of
+    random length 0-70: many bucket keys, so buckets merge across
+    them."""
+    rng = np.random.default_rng(70)
+    return [(config.alphabet.random(n, rng),
+             config.alphabet.random(int(rng.integers(0, 71)), rng))
+            for n in range(0, 71, 5)]
+
+
 @pytest.mark.parametrize("route, case, traceback", _matrix())
 def test_route_batch_equals_per_pair_in_any_order(route, case, traceback):
     engine = _engine(route, case, traceback)
-    pairs = seam_corpus(CONFIGS[case.config])
+    config = CONFIGS[case.config]
+    pairs = seam_corpus(config) + _spread(config)
     batch = engine.run(pairs)
     assert batch == [engine.run([pair])[0] for pair in pairs]
     assert batch == engine.run(pairs[::-1])[::-1]

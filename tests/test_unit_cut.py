@@ -3,6 +3,8 @@ with the plain engine whatever the cap."""
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.config import standard_configs
 from repro.exec import routes
-from repro.exec.buckets import bucketize
+from repro.exec.buckets import bucket_key, bucketize
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.resilience import ResilienceConfig, SupervisedEngine
 from repro.resilience.supervisor import cut_units
@@ -36,11 +38,12 @@ def test_cut_partitions_and_follows_buckets(lengths, cap, granularity):
                 for unit in units)
     assert swept <= len(bucketize(pairs, granularity)) + \
         max(0, len(units) - 1)
-    # Stable: inside one bucket, submission order survives.
-    order = [i for unit in units for i in unit]
-    for bucket in bucketize(pairs, granularity):
-        members = set(bucket.index.tolist())
-        assert [i for i in order if i in members] == sorted(members)
+    # Stable: inside one bucket key, submission order survives.
+    keyed = defaultdict(list)
+    for unit in units:
+        for i in unit:
+            keyed[bucket_key(pairs[i], granularity)].append(i)
+    assert all(members == sorted(members) for members in keyed.values())
 
 
 def test_uncapped_cut_is_contiguous_worker_shards():
