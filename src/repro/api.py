@@ -30,6 +30,7 @@ from repro.dp.alignment import Alignment
 from repro.errors import ConfigurationError
 from repro.exec import routes
 from repro.exec.engine import BatchConfig, BatchEngine
+from repro.resilience import run_batch
 
 #: Named presets accepted by every function's ``preset=`` argument.
 PRESETS = {
@@ -165,27 +166,6 @@ def _batch_config(batch: BatchConfig | None, mode: str, engine: str,
                        traceback=traceback)
 
 
-def _run_batch(config: AlignmentConfig, cfg: BatchConfig, encoded,
-               resilience, deadline_s: float | None):
-    """Dispatch a prepared batch to the plain or supervised engine.
-
-    Returns ``(results, failure_by_index)``: with supervision, pairs
-    that could not be completed map to
-    :class:`~repro.resilience.failures.PairFailure` records; without
-    it the failure map is empty (errors raise, as before).
-    """
-    if resilience is None and deadline_s is None:
-        return BatchEngine(config, cfg).run(encoded), {}
-    from repro.resilience import ResilienceConfig, SupervisedEngine
-    if resilience is None:
-        resilience = ResilienceConfig(deadline_s=deadline_s)
-    elif deadline_s is not None and resilience.deadline_s is None:
-        from dataclasses import replace
-        resilience = replace(resilience, deadline_s=deadline_s)
-    outcome = SupervisedEngine(config, cfg, resilience).run(encoded)
-    return outcome.results, outcome.failure_index
-
-
 def align_batch(pairs, preset: str | AlignmentConfig = "dna",
                 mode: str = "global", engine: str = "vector",
                 workers: int = 1,
@@ -216,11 +196,8 @@ def align_batch(pairs, preset: str | AlignmentConfig = "dna",
     config = _resolve(preset)
     cfg = _batch_config(batch, mode, engine, workers, traceback=True)
     encoded = [(config.encode(q), config.encode(r)) for q, r in pairs]
-    results, failed = _run_batch(config, cfg, encoded, resilience,
-                                 deadline_s)
-    return [failed[i] if result is None and i in failed
-            else result.alignment
-            for i, result in enumerate(results)]
+    return run_batch(config, cfg, encoded, resilience,
+                     deadline_s).alignments()
 
 
 def score_batch(pairs, preset: str | AlignmentConfig = "dna",
@@ -240,11 +217,8 @@ def score_batch(pairs, preset: str | AlignmentConfig = "dna",
     config = _resolve(preset)
     cfg = _batch_config(batch, mode, engine, workers, traceback=False)
     encoded = [(config.encode(q), config.encode(r)) for q, r in pairs]
-    results, failed = _run_batch(config, cfg, encoded, resilience,
-                                 deadline_s)
-    return [failed[i] if result is None and i in failed
-            else result.score
-            for i, result in enumerate(results)]
+    return run_batch(config, cfg, encoded, resilience,
+                     deadline_s).scores()
 
 
 def edit_distance(a: str, b: str,

@@ -22,8 +22,9 @@ import numpy as np
 from repro.config import AlignmentConfig, protein_config
 from repro.core.system import SmxSystem
 from repro.errors import ConfigurationError
-from repro.exec.engine import BatchConfig, BatchEngine
+from repro.exec.engine import BatchConfig
 from repro.obs import Observability, get_logger, get_obs
+from repro.resilience import run_batch
 
 _LOG = get_logger("dbsearch")
 
@@ -159,7 +160,9 @@ class ProteinSearch:
             # exactly the shape the vector engine accelerates.
             pairs = [(query, self.database[target_id])
                      for target_id, _ in survivors]
-            results = self._run_stage2(pairs)
+            results = run_batch(self.config, self.batch, pairs,
+                                self.resilience, self.deadline_s,
+                                obs=self.obs).results
             for (target_id, fscore), result in zip(survivors, results):
                 if result is None or result.score is None:
                     # Supervised run quarantined this target: drop it
@@ -181,24 +184,6 @@ class ProteinSearch:
                             candidates=len(survivors),
                             database_size=len(self.database),
                             meta=meta)
-
-    def _run_stage2(self, pairs) -> list:
-        """Stage-2 scoring, plain or supervised (``None`` per failed
-        pair in the latter case)."""
-        if not pairs:
-            return []
-        if self.resilience is None and self.deadline_s is None:
-            return BatchEngine(self.config, self.batch,
-                               obs=self.obs).run(pairs)
-        from dataclasses import replace
-
-        from repro.resilience import ResilienceConfig, SupervisedEngine
-        policy = self.resilience or ResilienceConfig()
-        if self.deadline_s is not None and policy.deadline_s is None:
-            policy = replace(policy, deadline_s=self.deadline_s)
-        outcome = SupervisedEngine(self.config, self.batch, policy,
-                                   obs=self.obs).run(pairs)
-        return outcome.results
 
     # -- acceleration estimate ------------------------------------------------
 

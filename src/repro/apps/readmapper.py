@@ -22,8 +22,9 @@ from repro.config import AlignmentConfig, dna_edit_config
 from repro.core.system import SmxSystem
 from repro.dp.alignment import Alignment
 from repro.errors import ConfigurationError
-from repro.exec.engine import BatchConfig, BatchEngine
+from repro.exec.engine import BatchConfig
 from repro.obs import Observability, get_logger, get_obs
+from repro.resilience import run_batch
 from repro.workloads.genome import ReadSet
 
 _LOG = get_logger("readmapper")
@@ -248,7 +249,9 @@ class ReadMapper:
                             total=len(read_set.reads),
                             extensions=len(pairs))
             if pairs:
-                results = self._run_extensions(pairs)
+                results = run_batch(self.config, self.batch, pairs,
+                                    self.resilience, self.deadline_s,
+                                    obs=self.obs).merged()
                 for (slot, votes, window_start, window_end), result in \
                         zip(pending, results):
                     read = read_set.reads[slot]
@@ -277,21 +280,6 @@ class ReadMapper:
                         mapped=sum(1 for m in mappings
                                    if m is not None and m.mapped))
         return report
-
-    def _run_extensions(self, pairs) -> list:
-        """The extension batch, plain or supervised."""
-        if self.resilience is None and self.deadline_s is None:
-            return BatchEngine(self.config, self.batch,
-                               obs=self.obs).run(pairs)
-        from dataclasses import replace
-
-        from repro.resilience import ResilienceConfig, SupervisedEngine
-        policy = self.resilience or ResilienceConfig()
-        if self.deadline_s is not None and policy.deadline_s is None:
-            policy = replace(policy, deadline_s=self.deadline_s)
-        outcome = SupervisedEngine(self.config, self.batch, policy,
-                                   obs=self.obs).run(pairs)
-        return outcome.merged()
 
     # -- acceleration estimate ----------------------------------------------
 

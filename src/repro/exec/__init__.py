@@ -12,15 +12,13 @@ from repro.exec.buckets import PAD_CODE, PairBatch, bucketize
 from repro.exec import routes
 from repro.exec.engine import BatchConfig, BatchEngine, make_scalar_aligner
 from repro.exec.planner import PlannerPolicy, plan_routes
-from repro.exec.sharding import run_sharded, shard_spans
 from repro.exec.wavefront import WavefrontSweep, sweep_wavefront
 
 __all__ = [
     "ALGORITHMS", "ENGINES", "MODES", "BatchConfig", "BatchEngine",
     "BitparallelSweep", "PAD_CODE", "PairBatch", "PlannerPolicy",
     "WavefrontSweep", "bucketize", "make_scalar_aligner", "plan_routes",
-    "routes", "run_sharded", "shard_spans", "sweep_bitparallel",
-    "sweep_wavefront",
+    "routes", "sweep_bitparallel", "sweep_wavefront",
 ]
 
 

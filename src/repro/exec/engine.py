@@ -10,8 +10,12 @@ each group through that same loop. All engines return the *same*
 ``AlignerResult`` objects -- scores, CIGARs, stats, and failure reasons
 are bit-identical, which the conformance and property suites enforce.
 
-Multi-process sharding (``BatchConfig.workers > 1``) lives in
-:mod:`repro.exec.sharding`.
+Multi-process sharding (``BatchConfig.workers > 1``) is one strict call
+into the supervisor's process pool (:mod:`repro.exec.sharding`):
+results equal an inline run's, but an error inside a worker raises
+:class:`~repro.errors.PoisonPairError` (naming the pair, the fault and
+the original error type) instead of the bare exception, and a missed
+``deadline_s`` raises :class:`~repro.errors.DeadlineExceeded`.
 """
 
 from __future__ import annotations
@@ -236,6 +240,7 @@ class BatchEngine:
                 self.obs.profiler.phase(phase_name):
             if sharded:
                 from repro.exec.sharding import run_sharded
+                self.check()  # raises here, not once per worker pair
                 results = run_sharded(self.config, batch, pairs, self.obs)
             else:
                 results = self._run_inline(pairs, deadline)

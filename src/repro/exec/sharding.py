@@ -1,38 +1,27 @@
 """Multi-process sharding for the batch engine.
 
-When ``BatchConfig.workers > 1``, the pair list is cut into contiguous
-shards and each shard runs a single-worker :class:`BatchEngine` in a
-``ProcessPoolExecutor`` worker. Contiguous shards keep results in
-submission order by construction; each worker re-buckets its own shard,
-so the per-shard results are identical to an inline run.
-
-Failure handling draws a hard line between two kinds of trouble:
-
-* **Pool infrastructure** failures -- the pool cannot be created or a
-  worker process dies (``BrokenProcessPool``, pool-creation
-  ``OSError`` in restricted sandboxes with no ``/dev/shm``). These say
-  nothing about the alignments themselves, so the engine falls back to
-  running *only the still-unfinished shards* inline and logs a
-  warning; results are the same either way, only slower.
-* **In-shard computation** errors -- an exception raised by the
-  alignment code inside a worker (``AlignmentError``, ``RangeError``,
-  even an ``OSError`` from the computation). These propagate to the
-  caller unchanged; silently re-running them inline would hide real
-  bugs and double-spend the work. Supervised retry for such errors
-  lives in :mod:`repro.resilience`, not here.
+``BatchEngine(workers=N)`` runs :func:`run_sharded`: one strict call
+into the supervisor's process pool, one contiguous shard per worker,
+results in submission order and identical to an inline run. The strict
+policy keeps the plain engine's contract: a pool that cannot start runs
+on threads and a dead worker re-runs only unfinished shards; heuristic
+"no result" outcomes stay failed (no exact-aligner promotion) and no
+pair is shed up front; a computation error raises
+:class:`~repro.errors.PoisonPairError` (submission index, fault,
+original error type) and a missed ``deadline_s`` raises
+:class:`~repro.errors.DeadlineExceeded`.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import replace
-
 from repro.algorithms.base import AlignerResult
 from repro.config import AlignmentConfig
-from repro.obs import Observability, child_context, get_logger, new_run_id
+from repro.obs import Observability
+from repro.resilience.supervisor import ResilienceConfig, SupervisedEngine
 
-log = get_logger("exec.sharding")
+#: The plain engine's failure contract in supervisor terms.
+_STRICT = ResilienceConfig(max_retries=0, degrade=False, shed=False,
+                           raise_on_failure=True)
 
 
 def shard_spans(total: int, workers: int) -> list[tuple[int, int]]:
@@ -49,94 +38,11 @@ def shard_spans(total: int, workers: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _shard_worker(config: AlignmentConfig, batch, pairs, collect=False,
-                  obs=None, trace=None,
-                  ) -> tuple[list[AlignerResult], dict | None]:
-    """Run one shard inline inside a worker process (module-level so
-    it pickles).
-
-    With ``collect``, the shard runs under a fresh collector
-    :class:`Observability` and returns its exported state alongside the
-    results, so counters incremented in the worker survive the trip
-    back to the parent registry instead of vanishing with the process.
-    A :class:`~repro.obs.tracectx.TraceContext` as ``trace`` further
-    gives the collector a tracer whose spans stitch onto the parent
-    timeline. The ``obs`` escape hatch is for in-process (fallback)
-    execution: the shard shares the caller's instruments directly, so
-    there is nothing to merge afterwards.
-    """
-    from repro.exec.engine import BatchEngine
-    if obs is not None:
-        return BatchEngine(config, batch, obs=obs).run(pairs), None
-    if not collect:
-        return BatchEngine(config, batch).run(pairs), None
-    worker_obs = Observability.collector(trace=trace)
-    results = BatchEngine(config, batch, obs=worker_obs).run(pairs)
-    return results, worker_obs.export_state()
-
-
 def run_sharded(config: AlignmentConfig, batch, pairs,
                 obs: Observability) -> list[AlignerResult]:
     """Fan a pair list across worker processes; order is preserved.
 
-    Pool-infrastructure failures fall back to finishing the unfinished
-    shards inline; exceptions raised by the computation itself
-    re-raise unchanged (see the module docstring).
+    Raises on the first pair that fails (see the module docstring).
     """
-    inner = replace(batch, workers=1)
-    spans = shard_spans(len(pairs), batch.workers)
-    if len(spans) == 1:
-        return _shard_worker(config, inner, pairs, obs=obs)[0]
-    collect = obs.collecting
-    shard_results: list[list[AlignerResult] | None] = [None] * len(spans)
-
-    def finish_inline(exc: BaseException) -> None:
-        pending = [shard_id for shard_id, done in enumerate(shard_results)
-                   if done is None]
-        log.warning("process pool unavailable (%s); running %d shard(s) "
-                    "inline", exc, len(pending))
-        obs.metrics.counter("exec.shard_fallbacks").inc()
-        for shard_id in pending:
-            start, stop = spans[shard_id]
-            shard_results[shard_id], _ = _shard_worker(
-                config, inner, pairs[start:stop], obs=obs)
-
-    try:
-        pool = ProcessPoolExecutor(max_workers=len(spans))
-    except (OSError, PermissionError, RuntimeError) as exc:
-        finish_inline(exc)
-    else:
-        run_id = new_run_id()
-        with pool:
-            try:
-                futures = [
-                    (shard_id, stop - start,
-                     pool.submit(_shard_worker, config, inner,
-                                 pairs[start:stop], collect,
-                                 None,
-                                 child_context(obs.tracer, run_id,
-                                               f"shard{shard_id}",
-                                               parent_span="exec.shard")))
-                    for shard_id, (start, stop) in enumerate(spans)]
-            except (OSError, PermissionError, RuntimeError) as exc:
-                # The pool refused work before any shard ran.
-                finish_inline(exc)
-                futures = []
-            try:
-                for shard_id, size, future in futures:
-                    started = time.perf_counter()
-                    with obs.tracer.host_span("exec.shard", shard=shard_id,
-                                              pairs=size, run_id=run_id):
-                        shard_results[shard_id], state = future.result()
-                        obs.merge_state(state)
-                    obs.metrics.counter("exec.shards").inc()
-                    obs.metrics.distribution("exec.shard_latency_us") \
-                        .observe((time.perf_counter() - started) * 1e6)
-            except BrokenExecutor as exc:
-                # A worker process died; every result already collected
-                # is still good -- only the rest re-run inline.
-                finish_inline(exc)
-    results: list[AlignerResult] = []
-    for shard in shard_results:
-        results.extend(shard or [])
-    return results
+    return SupervisedEngine(config, batch, _STRICT, obs=obs).run(
+        pairs).results

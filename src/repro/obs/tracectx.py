@@ -16,11 +16,11 @@ the parent's timeline::
 
 Worker spans are exported shifted by that offset and merged into the
 parent tracer with the worker's ``host`` process track renamed to the
-context's ``worker`` label (``shard3``, ``u17-24.a1``), so the stitched
+context's ``worker`` label (``u17-24.a1``), so the stitched
 Chrome/Perfetto trace shows every worker as its own named process row,
-causally aligned under the parent's ``exec.shard`` /
-``resilience.run`` spans. Wall-clock cross-process skew on one machine
-is microseconds-to-milliseconds -- far below the span durations being
+causally aligned under the parent's ``resilience.run`` span.
+Wall-clock cross-process skew on one machine is
+microseconds-to-milliseconds -- far below the span durations being
 aligned.
 
 The context also carries the ``run_id`` every stitched trace and

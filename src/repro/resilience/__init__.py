@@ -29,6 +29,7 @@ from repro.resilience.failures import FAULTS, BatchOutcome, PairFailure
 _LAZY = {
     "ResilienceConfig": "repro.resilience.supervisor",
     "SupervisedEngine": "repro.resilience.supervisor",
+    "run_batch": "repro.resilience.supervisor",
     "HEURISTIC_ALGORITHMS": "repro.resilience.ladder",
     "plan_rungs": "repro.resilience.ladder",
     "exact_config": "repro.resilience.ladder",
@@ -49,6 +50,7 @@ __all__ = [
     "outcome_io",
     "parse_rates",
     "plan_rungs",
+    "run_batch",
 ]
 
 

@@ -77,7 +77,6 @@ from repro.errors import (
 )
 from repro.exec.buckets import bucket_key
 from repro.exec.engine import BatchConfig, BatchEngine, _as_pairs
-from repro.exec.sharding import shard_spans
 from repro.obs import (
     LabeledRegistry,
     Observability,
@@ -94,6 +93,10 @@ from repro.resilience.failures import BatchOutcome, PairFailure
 log = get_logger("resilience")
 
 BACKENDS = ("auto", "thread", "process")
+#: Exponential backoff before retry attempt ``k``:
+#: ``min(BACKOFF_MAX_S, backoff_base_s * BACKOFF_FACTOR**(k-1))``.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -109,18 +112,16 @@ class ResilienceConfig:
         deadline_s: Overall budget for one supervised call; pairs whose
             work would start after expiry become ``"deadline"``
             failures (structured, not raised).
-        backoff_base_s / backoff_factor / backoff_max_s: Exponential
-            backoff slept before retry attempt ``k``:
-            ``min(max, base * factor**(k-1))``.
+        backoff_base_s: Base of the exponential backoff slept before
+            a retry (see :data:`BACKOFF_FACTOR`).
         validate: Re-check finished results -- CIGAR rescoring for
             traceback batches, a clean redundant recompute for
             score-only batches -- and treat mismatches as ``"bitflip"``
             faults. The only way silent datapath corruption is caught.
         degrade: Allow the degradation ladder (wide-dtype / scalar /
-            exact rungs) after retries are exhausted.
-        exact_fallback: Promote heuristic no-result outcomes (banded
-            band too narrow) to the exact aligner, as an ``"exact"``
-            ladder rung. Requires ``degrade``.
+            exact rungs) after retries are exhausted; this includes
+            promoting heuristic no-result outcomes (banded band too
+            narrow) to the exact aligner as an ``"exact"`` rung.
         raise_on_failure: Raise (:class:`DeadlineExceeded` or
             :class:`PoisonPairError`) instead of returning an outcome
             with failures.
@@ -153,11 +154,8 @@ class ResilienceConfig:
     shard_timeout_s: float | None = None
     deadline_s: float | None = None
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 1.0
     validate: bool = False
     degrade: bool = True
-    exact_fallback: bool = True
     raise_on_failure: bool = False
     backend: str = "auto"
     shed: bool = True
@@ -178,11 +176,8 @@ class ResilienceConfig:
             if value is not None and value <= 0:
                 raise ConfigurationError(
                     f"{name} must be > 0 seconds, got {value}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigurationError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
+        if self.backoff_base_s < 0:
+            raise ConfigurationError("backoff_base_s must be >= 0")
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}")
@@ -296,7 +291,6 @@ class SupervisedEngine:
         self._use_processes = (self.batch.workers > 1
                                if backend == "auto"
                                else backend == "process")
-        self._width = max(1, min(self.batch.workers, 8))
         self._executor = None
         self._generation = 0
         self._charged_generations: set[int] = set()
@@ -312,42 +306,39 @@ class SupervisedEngine:
 
     # -- executor management ----------------------------------------------
 
-    def _make_executor(self, width: int):
-        if self._use_processes:
+    def _executor_for(self):
+        """The live executor, ``_width`` wide, started on first use; a
+        process pool that cannot start falls back to threads."""
+        if self._executor is None and self._use_processes:
             try:
-                return ProcessPoolExecutor(max_workers=width)
+                self._executor = ProcessPoolExecutor(max_workers=self._width)
             except (OSError, PermissionError, RuntimeError) as exc:
                 log.warning("process pool unavailable (%s); supervising "
                             "threads instead", exc)
                 self._use_processes = False
-        return ThreadPoolExecutor(
-            max_workers=width,
-            thread_name_prefix="repro-supervised")
-
-    def _executor_for(self, width: int):
         if self._executor is None:
-            self._executor = self._make_executor(width)
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._width,
+                thread_name_prefix="repro-supervised")
         return self._executor
-
-    def _taint_executor(self) -> None:
-        """Replace an executor holding hung or dead workers."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
-        self._generation += 1
 
     def _shutdown(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
+    def _taint_executor(self) -> None:
+        """Replace an executor holding hung or dead workers."""
+        self._shutdown()
+        self._generation += 1
+
     # -- unit execution ----------------------------------------------------
 
     def _unit_config(self, unit: _Unit) -> BatchConfig:
         return unit.config or self._inner
 
-    def _submit(self, unit: _Unit, width: int) -> Future:
-        pool = self._executor_for(width)
+    def _submit(self, unit: _Unit) -> Future:
+        pool = self._executor_for()
         pairs = [self._pairs[i] for i in unit.indices]
         if self._use_processes:
             label = (f"u{min(unit.indices)}-{max(unit.indices)}"
@@ -417,10 +408,8 @@ class SupervisedEngine:
     def _backoff(self, unit: _Unit, deadline: Deadline) -> None:
         if unit.attempt <= 0:
             return
-        policy = self.resilience
-        delay = min(policy.backoff_max_s,
-                    policy.backoff_base_s
-                    * policy.backoff_factor ** (unit.attempt - 1))
+        delay = min(BACKOFF_MAX_S, self.resilience.backoff_base_s
+                    * BACKOFF_FACTOR ** (unit.attempt - 1))
         delay = min(delay, deadline.remaining())
         if delay > 0:
             time.sleep(delay)
@@ -455,8 +444,6 @@ class SupervisedEngine:
         candidates = ladder.plan_rungs(self.batch, unit.fault or "error")
         for rung, config in candidates:
             if rung in unit.rungs:
-                continue
-            if rung == "exact" and not self.resilience.exact_fallback:
                 continue
             outcome.bump(f"degraded.{rung}")
             self.obs.metrics.counter("resilience.degraded",
@@ -635,7 +622,6 @@ class SupervisedEngine:
                 continue
             index = unit.indices[local]
             if (result.failed and self.resilience.degrade
-                    and self.resilience.exact_fallback
                     and self.batch.algorithm in
                     ladder.HEURISTIC_ALGORITHMS
                     and "exact" not in unit.rungs):
@@ -789,11 +775,16 @@ class SupervisedEngine:
         self._width = max(1, min(self.batch.workers,
                                  max(1, len(wave))))
         self.run_id = new_run_id()
-        self._emit("run_start", pairs=len(self._pairs), shards=len(wave),
-                   backend="process" if self._use_processes else "thread",
-                   run_id=self.run_id, resumed=resume is not None,
-                   completed=outcome.completed(), queued=len(queue))
         try:
+            # Start the pool first so run_start names the backend that
+            # runs (a pool that cannot start falls back to threads).
+            self._executor_for()
+            self._emit("run_start", pairs=len(self._pairs),
+                       shards=len(wave),
+                       backend="process" if self._use_processes
+                       else "thread",
+                       run_id=self.run_id, resumed=resume is not None,
+                       completed=outcome.completed(), queued=len(queue))
             with self.obs.tracer.host_span(
                     "resilience.run", pairs=len(self._pairs),
                     shards=len(wave), run_id=self.run_id):
@@ -841,12 +832,11 @@ class SupervisedEngine:
             self._wave_pending = []
             self._settle(outcome, queue)
             return
-        width = max(1, min(self.batch.workers, len(wave)))
         submitted = []
         for shard_id, unit in enumerate(wave):
             self._emit("shard_start", shard=shard_id,
                        pairs=len(unit.indices))
-            submitted.append((unit, self._submit(unit, width),
+            submitted.append((unit, self._submit(unit),
                               self._generation, shard_id,
                               time.perf_counter()))
         for unit, future, generation, shard_id, started in submitted:
@@ -905,7 +895,7 @@ class SupervisedEngine:
             self._backoff(unit, deadline)
             started = time.perf_counter()
             try:
-                future = self._submit(unit, self._width)
+                future = self._submit(unit)
                 results = self._wait(unit, future, deadline)
             except BrokenExecutor as exc:
                 self._taint_executor()
@@ -923,6 +913,27 @@ class SupervisedEngine:
             self._settle(outcome, queue)
 
 
+def run_batch(config: AlignmentConfig, batch: BatchConfig, pairs,
+              resilience: ResilienceConfig | None = None,
+              deadline_s: float | None = None,
+              obs: Observability | None = None) -> BatchOutcome:
+    """Run a batch plain, or supervised when a policy or deadline is set.
+
+    Without ``resilience`` and ``deadline_s`` this is the plain
+    :class:`BatchEngine` (errors raise) and the outcome only carries
+    ``results``. Otherwise :class:`SupervisedEngine` runs under
+    ``resilience`` (default policy if ``None``), with ``deadline_s``
+    filling its deadline when the policy has none.
+    """
+    if resilience is None and deadline_s is None:
+        return BatchOutcome(
+            results=BatchEngine(config, batch, obs=obs).run(pairs))
+    policy = resilience or ResilienceConfig()
+    if deadline_s is not None and policy.deadline_s is None:
+        policy = replace(policy, deadline_s=deadline_s)
+    return SupervisedEngine(config, batch, policy, obs=obs).run(pairs)
+
+
 def cut_units(pairs, cap: int | None,
               batch: BatchConfig) -> list[list[int]]:
     """The first wave's units, as pair positions: per-worker contiguous
@@ -930,6 +941,9 @@ def cut_units(pairs, cap: int | None,
     submission index) cut every ``cap`` pairs, so each unit is a run
     of whole buckets plus at most one bucket slice at either end."""
     if cap is None:
+        # Lazy: exec.sharding builds its strict policy from this module.
+        from repro.exec.sharding import shard_spans
+
         return [list(range(start, stop)) for start, stop in
                 shard_spans(len(pairs), batch.workers)]
     order = sorted(range(len(pairs)), key=lambda index: bucket_key(

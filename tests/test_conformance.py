@@ -459,6 +459,26 @@ def test_banded_band_size_sweep(configs, config_name):
     assert reasons == {"", "no valid predecessor"}
 
 
+def test_banded_failures_independent_of_workers(configs):
+    """A band too narrow for some pairs: ``workers=2`` returns exactly
+    what ``workers=1`` does -- the same failed results, failure
+    reasons and DPStats -- rather than promoting failures to the exact
+    aligner."""
+    config = configs["dna-gap"]
+    pairs = _band_sweep_pairs(config)
+    failed = 0
+    for traceback in (True, False):
+        batch = BatchConfig(engine="vector", algorithm="banded",
+                            band_width=3, traceback=traceback)
+        inline = BatchEngine(config, batch).run(pairs)
+        failed += sum(result.failed for result in inline)
+        sharded = BatchEngine(config, replace(batch, workers=2)).run(pairs)
+        assert len(sharded) == len(inline)
+        for index, (a, b) in enumerate(zip(sharded, inline)):
+            _assert_identical(a, b, (traceback, index))
+    assert failed  # sanity: the band really excludes some paths
+
+
 def test_banded_corner_below_prune_floor_fails_like_scalar(configs):
     """Penalties steep enough to push a true score under the prune
     floor: both engines report the corner as excluded (and the int64

@@ -43,13 +43,6 @@ def _pairs(config, rng, count=24, n=40, error=0.1):
             for _ in range(count)]
 
 
-def _boom_worker(config, batch, pairs, collect=False, obs=None,
-                 trace=None):
-    """Module-level (picklable) stand-in for a computation error
-    raised inside a pool worker."""
-    raise RangeError("delta out of range")
-
-
 THREAD = dict(backend="thread", backoff_base_s=0.0)
 
 
@@ -97,7 +90,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(deadline_s=-2.0)
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_factor=0.5)
+            ResilienceConfig(backoff_base_s=-0.1)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(backend="fibers")
 
@@ -274,20 +267,6 @@ class TestLadder:
         # The easy pair keeps its (identical) banded result.
         assert outcome.results[0].score == plain[0].score
 
-    def test_exact_fallback_can_be_disabled(self, configs, rng):
-        config = configs["dna-gap"]
-        rng2 = np.random.default_rng(1)
-        q = config.alphabet.random(60, rng2)
-        r = np.concatenate([q[:20], config.alphabet.random(40, rng2),
-                            q[20:]])
-        batch = BatchConfig(algorithm="banded", band_width=4)
-        outcome = SupervisedEngine(
-            config, batch,
-            ResilienceConfig(exact_fallback=False, **THREAD)).run(
-                [(q, r)])
-        assert outcome.ok
-        assert outcome.results[0].failed
-
 
 class TestBatchOutcome:
     def test_merged_and_accessors(self):
@@ -307,20 +286,36 @@ class TestBatchOutcome:
 
 
 class TestShardingFailureSplit:
-    """Satellite: pool-infra failures fall back; computation errors
-    re-raise."""
+    """Pool-infra failures are recovered; computation errors raise."""
 
     def test_computation_error_reraises(self, configs, rng, monkeypatch):
         config = configs["dna-edit"]
         pairs = _pairs(config, rng, count=8)
         batch = BatchConfig(workers=2)
 
-        import repro.exec.sharding as sharding
-        monkeypatch.setattr(sharding, "_shard_worker", _boom_worker)
-        # A worker-side computation error must NOT be silently re-run
-        # inline (the old behaviour); it propagates.
-        with pytest.raises(RangeError):
+        def boom(self, pairs, deadline):
+            raise RangeError("delta out of range")
+
+        # Patched on the class, so forked pool workers (or the thread
+        # fallback) raise inside every shard.
+        monkeypatch.setattr(BatchEngine, "_run_inline", boom)
+        # A worker-side computation error is never swallowed: it
+        # raises, naming the pair, the fault and the original type.
+        with pytest.raises(PoisonPairError) as raised:
             run_sharded(config, batch, pairs, get_obs())
+        assert raised.value.pair_index == 0
+        assert raised.value.fault == "rangeerror"
+        assert "RangeError" in str(raised.value)
+
+    def test_configuration_error_raises_unwrapped(self, configs, rng):
+        """A route that cannot run the scoring model is refused before
+        any shard starts, as the inline engine refuses it."""
+        config = configs["dna-gap"]
+        pairs = _pairs(config, rng, count=8)
+        batch = BatchConfig(engine="bitparallel", traceback=False,
+                            workers=2)
+        with pytest.raises(ConfigurationError, match="unit-cost"):
+            BatchEngine(config, batch).run(pairs)
 
     def test_pool_creation_failure_runs_inline(self, configs, rng,
                                                monkeypatch):
@@ -329,76 +324,70 @@ class TestShardingFailureSplit:
         batch = BatchConfig(workers=2)
         plain = BatchEngine(config, BatchConfig()).run(pairs)
 
-        import repro.exec.sharding as sharding
+        import repro.resilience.supervisor as supervisor
 
         def no_pool(*args, **kwargs):
             raise OSError("no /dev/shm")
 
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", no_pool)
         results = run_sharded(config, batch, pairs, get_obs())
         assert [r.score for r in results] == [r.score for r in plain]
 
     def test_broken_pool_reruns_only_unfinished_shards(
             self, configs, rng, monkeypatch):
         """After a worker dies, completed shards keep their results and
-        only the rest run inline."""
+        only the unfinished ones run again, in a fresh pool."""
         from concurrent.futures.process import BrokenProcessPool
+
+        import repro.resilience.supervisor as supervisor
 
         config = configs["dna-edit"]
         pairs = _pairs(config, rng, count=9)
         batch = BatchConfig(workers=3)
         plain = BatchEngine(config, BatchConfig()).run(pairs)
         spans = shard_spans(len(pairs), 3)
+        pools: list = []
+        ran: list[tuple[int, int]] = []  # (pool, shard) of each run
 
-        import repro.exec.sharding as sharding
-        real_worker = sharding._shard_worker
-        inline_calls: list[int] = []
+        def shard_of(unit_pairs):
+            return next(
+                i for i, (start, stop) in enumerate(spans)
+                if len(unit_pairs) == stop - start
+                and np.array_equal(unit_pairs[0][0], pairs[start][0]))
 
         class FakeFuture:
-            def __init__(self, shard_id, work):
-                self.shard_id = shard_id
+            def __init__(self, work, broken):
                 self._work = work
+                self._broken = broken
 
-            def result(self):
-                if self.shard_id > 0:
+            def result(self, timeout=None):
+                if self._broken:
                     raise BrokenProcessPool("worker died")
                 return self._work()
 
         class FakePool:
             def __init__(self, max_workers):
+                self.number = len(pools)
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                shard = shard_of(args[2])
+
+                def work():
+                    ran.append((self.number, shard))
+                    return fn(*args)
+                # The first pool dies under every shard but the first.
+                return FakeFuture(work, self.number == 0 and shard > 0)
+
+            def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, config, inner, shard_pairs,
-                       collect=False, obs=None, trace=None):
-                shard_id = next(
-                    i for i, (start, stop) in enumerate(spans)
-                    if len(shard_pairs) == stop - start
-                    and np.array_equal(shard_pairs[0][0],
-                                       pairs[start][0]))
-                return FakeFuture(
-                    shard_id,
-                    lambda: fn(config, inner, shard_pairs, collect))
-
-        def tracking_worker(config, inner, shard_pairs, collect=False,
-                            obs=None):
-            inline_calls.append(len(shard_pairs))
-            return real_worker(config, inner, shard_pairs, collect,
-                               obs=obs)
-
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(sharding, "_shard_worker", tracking_worker)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", FakePool)
         results = run_sharded(config, batch, pairs, get_obs())
         assert [r.score for r in results] == [r.score for r in plain]
-        # Shard 0 completed through the (fake) pool; only shards 1 and
-        # 2 were re-run inline after the break.
-        spans_sizes = [stop - start for start, stop in spans]
-        assert sorted(inline_calls[-2:]) == sorted(spans_sizes[1:])
+        # Shard 0 completed in the first pool and kept its result; only
+        # shards 1 and 2 ran again, in a fresh pool.
+        assert ran == [(0, 0), (1, 1), (1, 2)]
 
 
 class TestProcessBackendFallback:

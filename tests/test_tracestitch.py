@@ -18,6 +18,7 @@ from repro.config import dna_edit_config
 from repro.exec.engine import BatchConfig, BatchEngine
 from repro.obs import Observability, child_context, new_run_id
 from repro.obs.digest import LatencyDigest
+from repro.obs.events import EventStream
 
 
 def _pairs(count, lengths=(16, 24, 32, 48), seed=7):
@@ -38,20 +39,19 @@ def _chrome_processes(doc):
             if e.get("ph") == "M" and e["name"] == "process_name"}
 
 
-def _fell_back(ctx):
-    """True when the process pool was unavailable and shards ran
-    inline (sandboxes without /dev/shm): results and metrics are
+def _fell_back(stream):
+    """True when the process pool was unavailable and shards ran on
+    threads (sandboxes without /dev/shm): results and metrics are
     identical, but there are no worker processes to stitch."""
-    snapshot = ctx.metrics.snapshot()
-    return snapshot.get("exec.shard_fallbacks", 0) > 0
+    return stream.last("run_start")["backend"] == "thread"
 
 
 class TestCollectorStitching:
     def test_worker_spans_land_on_parent_timeline(self):
         parent = Observability.enabled_context()
         run_id = new_run_id()
-        trace = child_context(parent.tracer, run_id, "shard0",
-                              parent_span="exec.shard")
+        trace = child_context(parent.tracer, run_id, "u0-3.a0",
+                              parent_span="resilience.run")
         assert trace is not None
         assert trace.run_id == run_id
         worker = Observability.collector(trace=trace)
@@ -60,7 +60,7 @@ class TestCollectorStitching:
         parent.merge_state(worker.export_state())
         doc = parent.tracer.to_chrome()
         # The worker's own "host" track was renamed to its label...
-        assert "shard0" in _chrome_processes(doc)
+        assert "u0-3.a0" in _chrome_processes(doc)
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert [s["name"] for s in spans] == ["work.phase"]
         # ...its args survived, and the run id was stamped on merge.
@@ -97,26 +97,38 @@ class TestShardedRunStitching:
     def sharded(self):
         config = dna_edit_config()
         pairs = _pairs(64)
-        ctx = Observability.enabled_context()
+        stream = EventStream()
+        ctx = Observability.enabled_context(events=stream)
         results = BatchEngine(config, BatchConfig(workers=4),
                               obs=ctx).run(pairs)
-        return config, pairs, ctx, results
+        return config, pairs, ctx, results, stream
 
     def test_one_stitched_trace_per_run(self, sharded):
-        _, _, ctx, _ = sharded
-        if _fell_back(ctx):
-            pytest.skip("process pool unavailable; shards ran inline")
+        _, _, ctx, _, stream = sharded
+        if _fell_back(stream):
+            pytest.skip("process pool unavailable; shards ran on threads")
         doc = ctx.tracer.to_chrome()
-        processes = _chrome_processes(doc)
-        assert {"shard0", "shard1", "shard2", "shard3"} <= processes
+        names = {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
+                 if e.get("ph") == "M" and e["name"] == "process_name"}
+        shards = {"u0-15.a0", "u16-31.a0", "u32-47.a0", "u48-63.a0"}
+        assert shards <= set(names.values())
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         # Every span of the run carries the same run id: the parent's
-        # exec.shard spans carry it natively, worker spans by stamping.
+        # resilience.run span carries it natively, worker spans by
+        # stamping.
         run_ids = {s["args"]["run_id"] for s in spans
                    if "run_id" in s.get("args", {})}
         assert len(run_ids) == 1
-        shard_spans = [s for s in spans if s["name"] == "exec.shard"]
-        assert len(shard_spans) == 4
+        [run] = [s for s in spans if s["name"] == "resilience.run"]
+        assert run["args"]["shards"] == 4
+        # One worker exec.run per shard track, inside the parent span.
+        worker_runs = [s for s in spans if s["name"] == "exec.run"
+                       and names[s["pid"]] in shards]
+        assert sorted(names[s["pid"]] for s in worker_runs) == \
+            sorted(shards)
+        for span in worker_runs:
+            assert run["ts"] <= span["ts"]
+            assert span["ts"] + span["dur"] <= run["ts"] + run["dur"]
 
     def test_merged_digest_matches_single_worker_bit_for_bit(
             self, sharded):
@@ -155,7 +167,7 @@ class TestShardedRunStitching:
         assert merged["min"] < merged["p50"] < merged["max"]
 
     def test_sharded_results_unchanged_by_observability(self, sharded):
-        config, pairs, _, observed = sharded
+        config, pairs, _, observed, _ = sharded
         plain = BatchEngine(config, BatchConfig(workers=1)).run(pairs)
         assert [r.score for r in observed] == [r.score for r in plain]
 
