@@ -75,13 +75,11 @@ class PlannerPolicy:
 
     Attributes:
         k: Sketch k-mer length.
-        wavefront_divergence: Estimated divergence at or below which a
-            pair routes to the wavefront kernel (edit model only; edit
-            pairs within ``banded_divergence`` also take the wavefront
-            because its O(n + d^2) sweep undercuts every certified
-            corridor in that range).
         banded_divergence: Upper divergence bound for the banded route;
-            beyond it the pair pays the full kernel directly.
+            beyond it the pair pays the full kernel directly. Edit-model
+            pairs within it take the wavefront kernel instead, because
+            its O(n + d^2) sweep undercuts every certified corridor in
+            that range.
         min_length: Pairs with ``max(n, m)`` below this go straight to
             the full kernel -- too small for routing to pay off.
         probe_slack: The wavefront sweep of each auto-routed pair is
@@ -93,7 +91,6 @@ class PlannerPolicy:
     """
 
     k: int = 8
-    wavefront_divergence: float = 0.10
     banded_divergence: float = 0.20
     min_length: int = 32
     probe_slack: int = 4
@@ -102,17 +99,10 @@ class PlannerPolicy:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError(f"planner k must be >= 1, got {self.k}")
-        if not 0.0 <= self.wavefront_divergence <= 1.0:
-            raise ConfigurationError(
-                "wavefront_divergence must be within [0, 1], got "
-                f"{self.wavefront_divergence}")
         if not 0.0 <= self.banded_divergence <= 1.0:
             raise ConfigurationError(
                 "banded_divergence must be within [0, 1], got "
                 f"{self.banded_divergence}")
-        if self.wavefront_divergence > self.banded_divergence:
-            raise ConfigurationError(
-                "wavefront_divergence must not exceed banded_divergence")
         if self.min_length < 0:
             raise ConfigurationError(
                 f"min_length must be >= 0, got {self.min_length}")
@@ -194,8 +184,7 @@ def plan_routes(pairs, model: ScoringModel, policy: PlannerPolicy,
         divergence = estimate_divergence(q_codes, r_codes, policy.k)
         estimate = estimate_distance(q_codes, r_codes, divergence)
         estimates.append(estimate)
-        if edit_ok and divergence <= max(policy.wavefront_divergence,
-                                         policy.banded_divergence):
+        if edit_ok and divergence <= policy.banded_divergence:
             # Under the edit model the wavefront sweep costs O(n + d^2)
             # -- cheaper than any corridor the certificate would accept
             # (O(width * n) with width >= d) throughout the banded

@@ -7,8 +7,9 @@ policy keeps the plain engine's contract: a pool that cannot start runs
 on threads and a dead worker re-runs only unfinished shards; heuristic
 "no result" outcomes stay failed (no exact-aligner promotion) and no
 pair is shed up front; a computation error raises
-:class:`~repro.errors.PoisonPairError` (submission index, fault,
-original error type) and a missed ``deadline_s`` raises
+:class:`~repro.errors.PoisonPairError` as soon as bisection isolates
+the first failing pair (submission index, fault, original error type)
+and a missed ``deadline_s`` raises
 :class:`~repro.errors.DeadlineExceeded`.
 """
 

@@ -37,9 +37,10 @@ Each poisoned (pair, class) is further classified **transient**
 hash; :meth:`ChaosPlan.ground_truth` exposes the full decision table so
 tests can check the supervisor's accounting against the injector's.
 
-Plans are installed per-execution by the supervised worker functions
-(:func:`install` / :func:`deactivate`), and every *fired* injection is
-appended to the plan's thread-safe ``fired`` log.
+A plan is activated per execution with :func:`scoped` -- by the
+supervisor's worker threads and pool worker processes alike -- and
+every *fired* injection is appended to the plan's thread-safe
+``fired`` log.
 """
 
 from __future__ import annotations
@@ -321,81 +322,49 @@ def parse_rates(text: str, seed: int = 0, **kwargs) -> ChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# Installation: a process-global plan plus a context-local overlay.
+# Activation: one context-local slot.
 #
 # The supervisor's thread backend runs several shard executions
 # concurrently in one process, each with its own attempt counter, so
 # the per-execution activation lives in a ContextVar (thread-isolated);
-# pool worker processes and the CLI install process-globally.
+# a pool worker process sets the same slot around its one execution.
 # ----------------------------------------------------------------------
 
 _Activation = tuple[ChaosPlan, int, bool]  # (plan, attempt, in_worker)
-_GLOBAL: _Activation | None = None
 _LOCAL: contextvars.ContextVar[_Activation | None] = \
     contextvars.ContextVar("repro_chaos_local", default=None)
 
 
-def install(plan: ChaosPlan | None, attempt: int = 0,
-            in_worker: bool = False) -> None:
-    """Activate ``plan`` process-globally (pool workers, CLI demos).
+@contextlib.contextmanager
+def scoped(plan: ChaosPlan | None, attempt: int = 0,
+           in_worker: bool = False):
+    """Context-local activation for one execution; ``None`` switches
+    injection off (clean reference recomputes).
 
     ``attempt`` is the supervisor's retry counter for the execution
-    about to run (transient faults only fire at attempt 0);
-    ``in_worker`` marks a pool worker process, where an injected crash
-    genuinely kills the process.
+    (transient faults only fire at attempt 0); ``in_worker`` marks a
+    pool worker process, where an injected crash genuinely kills the
+    process.
     """
-    global _GLOBAL
-    _GLOBAL = None if plan is None else (plan, attempt, in_worker)
-
-
-def deactivate() -> None:
-    install(None)
-
-
-@contextlib.contextmanager
-def scoped(plan: ChaosPlan, attempt: int = 0, in_worker: bool = False):
-    """Context-local activation for one in-process execution."""
-    token = _LOCAL.set((plan, attempt, in_worker))
+    token = _LOCAL.set(None if plan is None else (plan, attempt, in_worker))
     try:
         yield plan
     finally:
         _LOCAL.reset(token)
 
 
-@contextlib.contextmanager
-def suppressed():
-    """Context-locally disable injection even if a plan is installed
-    globally -- used for clean reference recomputes (validation)."""
-    token = _LOCAL.set(_OFF)
-    try:
-        yield
-    finally:
-        _LOCAL.reset(token)
-
-
-#: Context-local sentinel: injection explicitly off, ignoring _GLOBAL.
-_OFF: object = object()
-
-
-def _current() -> _Activation | None:
-    local = _LOCAL.get()
-    if local is _OFF:
-        return None
-    return local or _GLOBAL
-
-
 def active() -> ChaosPlan | None:
-    current = _current()
+    current = _LOCAL.get()
     return current[0] if current else None
 
 
 def is_active() -> bool:
-    return _current() is not None
+    return _LOCAL.get() is not None
 
 
 def apply_to_results(pairs, results) -> None:
     """Engine-side hook: inject the active plan's faults, if any."""
-    current = _current()
+    current = _LOCAL.get()
     if current is not None:
         plan, attempt, in_worker = current
         plan.apply(pairs, results, attempt, in_worker)
@@ -403,7 +372,7 @@ def apply_to_results(pairs, results) -> None:
 
 def corrupt_tile_borders(store, q_codes, r_codes) -> None:
     """SMX-functional-model hook (see ChaosPlan.corrupt_borders)."""
-    current = _current()
+    current = _LOCAL.get()
     if current is not None:
         plan, attempt, _ = current
         plan.corrupt_borders(store, q_codes, r_codes, attempt)

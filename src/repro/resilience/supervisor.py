@@ -14,14 +14,18 @@ with the fault-tolerance policy of the execution layer:
    bit-identical results; only the shrinking failed region re-runs.
    Exceptions that carry a ``pair_index`` short-circuit bisection and
    isolate the poison pair immediately.
-3. A single failing pair gets bounded retries with exponential backoff,
-   then walks the degradation ladder (:mod:`repro.resilience.ladder`):
-   wide-dtype for range/overflow trips, scalar for vector-path faults,
-   the exact aligner for heuristic failures.
+3. A single failing pair gets bounded retries, then walks the
+   degradation ladder (:mod:`repro.resilience.ladder`): wide-dtype for
+   range/overflow trips, scalar for vector-path faults, the exact
+   aligner for heuristic failures. Exponential backoff is slept only
+   before a retry -- a re-run of the same pairs on the same path --
+   never before a bisection half, an isolated pair or a ladder rung.
 4. Whatever still fails is quarantined as a typed
    :class:`~repro.resilience.failures.PairFailure`; the batch always
-   returns a full :class:`~repro.resilience.failures.BatchOutcome`
-   (unless ``raise_on_failure`` asks for the exception).
+   returns a full :class:`~repro.resilience.failures.BatchOutcome`,
+   unless ``raise_on_failure`` asks for the exception: then the first
+   quarantined pair raises at once, leaving the checkpoint as of the
+   last settled unit (as a kill would).
 
 Two backends: worker *processes* (``batch.workers > 1``; an injected
 crash genuinely kills a worker and surfaces as ``BrokenProcessPool``)
@@ -97,6 +101,9 @@ BACKENDS = ("auto", "thread", "process")
 #: ``min(BACKOFF_MAX_S, backoff_base_s * BACKOFF_FACTOR**(k-1))``.
 BACKOFF_FACTOR = 2.0
 BACKOFF_MAX_S = 1.0
+#: Load shedding's headroom multiplier on predicted cost (predictions
+#: are optimistic on cold caches).
+SHED_SAFETY = 1.5
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ class ResilienceConfig:
             work would start after expiry become ``"deadline"``
             failures (structured, not raised).
         backoff_base_s: Base of the exponential backoff slept before
-            a retry (see :data:`BACKOFF_FACTOR`).
+            a retry of the same pairs (see :data:`BACKOFF_FACTOR`);
+            bisection halves, isolated pairs and ladder rungs run at
+            once.
         validate: Re-check finished results -- CIGAR rescoring for
             traceback batches, a clean redundant recompute for
             score-only batches -- and treat mismatches as ``"bitflip"``
@@ -122,9 +131,11 @@ class ResilienceConfig:
             exact rungs) after retries are exhausted; this includes
             promoting heuristic no-result outcomes (banded band too
             narrow) to the exact aligner as an ``"exact"`` rung.
-        raise_on_failure: Raise (:class:`DeadlineExceeded` or
-            :class:`PoisonPairError`) instead of returning an outcome
-            with failures.
+        raise_on_failure: Raise instead of returning an outcome with
+            failures: :class:`PoisonPairError` at the first pair
+            quarantined (the run stops there), or
+            :class:`DeadlineExceeded` at the end of a run whose only
+            failures are deadline misses.
         backend: ``"auto"`` (processes when ``workers > 1``),
             ``"thread"``, or ``"process"``.
         shed: Deadline-aware load shedding: before a unit starts, rank
@@ -132,9 +143,8 @@ class ResilienceConfig:
             predicted-cost tail that cannot finish inside the remaining
             budget as structured ``"deadline"``/``LoadShed`` failures
             -- so the clock never expires mid-shard on work that was
-            doomed from the start. Needs a bounded deadline to act.
-        shed_safety: Headroom multiplier on predicted cost (predictions
-            are optimistic on cold caches); 1.0 trusts the estimate.
+            doomed from the start, with :data:`SHED_SAFETY` headroom.
+            Needs a bounded deadline to act.
         cost_model: Cost model used for shedding; ``None`` calibrates
             from the live profiler (falling back to the built-in
             per-cell default when no profile exists). Tests inject a
@@ -159,7 +169,6 @@ class ResilienceConfig:
     raise_on_failure: bool = False
     backend: str = "auto"
     shed: bool = True
-    shed_safety: float = 1.5
     cost_model: CostModel | None = None
     max_unit_pairs: int | None = None
 
@@ -181,9 +190,6 @@ class ResilienceConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if self.shed_safety < 1.0:
-            raise ConfigurationError(
-                f"shed_safety must be >= 1.0, got {self.shed_safety}")
 
 
 @dataclass
@@ -194,10 +200,9 @@ class _Unit:
     attempt: int = 0
     #: Degradation rung this unit runs on (None = the base config).
     rung: str | None = None
-    config: BatchConfig | None = None
     #: Ladder rungs already consumed on the way here.
     rungs: tuple[str, ...] = ()
-    #: Last classified fault, steering the ladder.
+    #: Last classified fault: steers the ladder, names a rung's config.
     fault: str | None = None
     error: BaseException | None = field(default=None, repr=False)
 
@@ -216,12 +221,8 @@ def _pool_worker(config: AlignmentConfig, batch: BatchConfig, pairs,
     """
     from repro.exec.engine import BatchEngine as Engine
     worker_obs = Observability.collector(trace=trace) if collect else None
-    if plan is not None:
-        chaos.install(plan, attempt, in_worker=True)
-    try:
+    with chaos.scoped(plan, attempt, in_worker=True):
         results = Engine(config, batch, obs=worker_obs).run(pairs)
-    finally:
-        chaos.deactivate()
     return (results,
             list(plan.fired) if plan is not None else [],
             worker_obs.export_state() if worker_obs is not None else None)
@@ -259,7 +260,7 @@ class SupervisedEngine:
         tenant: Attribute every metric this run touches -- parent-side
             ``resilience.*`` / ``exec.*`` counters, latency
             distributions, *and* worker-process snapshots merged back
-            in :meth:`_wait` -- to one tenant via a
+            in :meth:`_collect` -- to one tenant via a
             :class:`~repro.obs.metrics.LabeledRegistry` view, so the
             fleet telemetry layer can split series per tenant without
             any engine call site knowing about tenancy.
@@ -294,12 +295,6 @@ class SupervisedEngine:
         self._executor = None
         self._generation = 0
         self._charged_generations: set[int] = set()
-        #: Checkpoint plumbing; rebound by every :meth:`run`.
-        self._journal: outcome_io.Journal | None = None
-        self._digest: str | None = None
-        self._units_settled = 0
-        self._wave_pending: list[_Unit] = []
-        self._fresh: list[int] = []
         #: Regenerated by every :meth:`run`; stamps events and stitched
         #: trace spans so one run's artifacts correlate.
         self.run_id = new_run_id()
@@ -335,7 +330,12 @@ class SupervisedEngine:
     # -- unit execution ----------------------------------------------------
 
     def _unit_config(self, unit: _Unit) -> BatchConfig:
-        return unit.config or self._inner
+        """The unit's engine config: the base one, or its rung's -- a
+        pure function of (base batch config, fault), so never stored."""
+        if unit.rung is None:
+            return self._inner
+        return dict(ladder.plan_rungs(self.batch, unit.fault or "error")
+                    ).get(unit.rung, self._inner)
 
     def _submit(self, unit: _Unit) -> Future:
         pool = self._executor_for()
@@ -355,32 +355,67 @@ class SupervisedEngine:
 
         def call():
             # Threads share the parent's instruments: no state to merge.
-            if plan is None:
-                return engine.run(pairs), [], None
-            with chaos.scoped(plan, attempt, in_worker=False):
+            with chaos.scoped(plan, attempt):
                 return engine.run(pairs), [], None
 
         return pool.submit(call)
 
-    def _wait(self, unit: _Unit, future: Future,
-              deadline: Deadline) -> list[AlignerResult]:
-        """Collect one unit's results, enforcing timeout + deadline."""
-        timeout = deadline.clamp(self.resilience.shard_timeout_s)
+    def _collect(self, queue: deque, outcome: BatchOutcome, unit: _Unit,
+                 deadline: Deadline, submitted: tuple | None = None
+                 ) -> float | None:
+        """Wait for one unit, enforcing timeout + deadline, and absorb
+        its results or dispose of its failure.
+
+        A wave unit arrives ``submitted`` as ``(future, pool generation,
+        start time)``; a recovery unit is submitted here, inside the
+        guard. Returns the seconds an absorbed unit took, else ``None``.
+        """
+        future, generation, started = submitted or (
+            None, self._generation, time.perf_counter())
         try:
-            results, fired, state = future.result(timeout=timeout)
-        except FuturesTimeoutError:
+            if future is None:
+                future = self._submit(unit)
+            results, fired, state = future.result(
+                timeout=deadline.clamp(self.resilience.shard_timeout_s))
+        except BrokenExecutor as exc:
             self._taint_executor()
-            if deadline.expired:
-                raise DeadlineExceeded(
-                    "supervised batch exceeded its deadline") from None
-            raise
+            # One unit killed this pool generation; its shardmates'
+            # futures break too, through no fault of their own -- those
+            # requeue uncharged at the same attempt. (A recovery unit
+            # runs alone on a fresh generation: always charged.)
+            if generation in self._charged_generations:
+                queue.append(unit)
+            else:
+                self._charged_generations.add(generation)
+                self._dispose(queue, outcome, unit, exc, deadline)
+            return None
+        except CancelledError:
+            # Lost to an executor taint before it started; re-run as if
+            # never submitted.
+            queue.append(unit)
+            return None
+        except FuturesTimeoutError as exc:
+            # A hung worker: replace its executor. Past the deadline the
+            # wait was cut short by the budget, not by the hang.
+            self._taint_executor()
+            self._dispose(queue, outcome, unit, DeadlineExceeded(
+                "supervised batch exceeded its deadline")
+                if deadline.expired else exc, deadline)
+            return None
+        except Exception as exc:  # noqa: BLE001 - classified below
+            self._dispose(queue, outcome, unit, exc, deadline)
+            return None
         if fired and self.plan is not None:
             # Pool workers run on an unpickled plan copy: merge their
             # injection log back into the supervisor-side ground truth.
             with self.plan._lock:
                 self.plan.fired.extend(fired)
         self.obs.merge_state(state)
-        return results
+        elapsed = time.perf_counter() - started
+        self._absorb(queue, outcome, unit, results, deadline)
+        self.obs.metrics.distribution(
+            "resilience.unit_latency_us").observe(elapsed * 1e6)
+        return elapsed
 
     # -- policy ------------------------------------------------------------
 
@@ -390,29 +425,43 @@ class SupervisedEngine:
         if events.enabled:
             events.emit(kind, **fields)
 
+    def _count(self, outcome: BatchOutcome, name: str, amount: int = 1,
+               **label) -> None:
+        """Book one counter twice: ``name[.<label value>]`` in the
+        outcome, ``resilience.<name>{label}`` in the metrics."""
+        outcome.bump(".".join((name, *label.values())), amount)
+        self.obs.metrics.counter(f"resilience.{name}", **label).inc(amount)
+
     def _charge(self, outcome: BatchOutcome, unit: _Unit,
                 fault: str) -> None:
-        outcome.bump(f"faults.{fault}")
-        self.obs.metrics.counter("resilience.faults", fault=fault).inc()
+        self._count(outcome, "faults", fault=fault)
         self._emit("fault", fault=fault, pairs=len(unit.indices),
                    attempt=unit.attempt)
 
     def _requeue_retry(self, queue: deque, outcome: BatchOutcome,
-                       unit: _Unit) -> None:
-        outcome.bump("retries")
-        self.obs.metrics.counter("resilience.retries").inc()
-        self._emit("retry", pairs=len(unit.indices),
-                   attempt=unit.attempt + 1)
-        queue.append(replace(unit, attempt=unit.attempt + 1))
-
-    def _backoff(self, unit: _Unit, deadline: Deadline) -> None:
-        if unit.attempt <= 0:
-            return
+                       unit: _Unit, deadline: Deadline) -> None:
+        """Queue the same pairs again at the next attempt, after an
+        exponential backoff -- the one place the supervisor sleeps."""
+        attempt = unit.attempt + 1
+        self._count(outcome, "retries")
+        self._emit("retry", pairs=len(unit.indices), attempt=attempt)
         delay = min(BACKOFF_MAX_S, self.resilience.backoff_base_s
-                    * BACKOFF_FACTOR ** (unit.attempt - 1))
-        delay = min(delay, deadline.remaining())
+                    * BACKOFF_FACTOR ** (attempt - 1),
+                    deadline.remaining())
         if delay > 0:
             time.sleep(delay)
+        queue.append(replace(unit, attempt=attempt))
+
+    def _fail(self, outcome: BatchOutcome, unit: _Unit,
+              indices: list[int], fault: str, error_type: str,
+              message: str, attempts: int) -> list[PairFailure]:
+        """Record a terminal failure for each of ``indices``."""
+        failures = [PairFailure(index=index, fault=fault,
+                                error_type=error_type, message=message,
+                                attempts=attempts, rungs=unit.rungs)
+                    for index in indices]
+        outcome.failures.extend(failures)
+        return failures
 
     def _quarantine(self, outcome: BatchOutcome, unit: _Unit) -> None:
         index = unit.indices[0]
@@ -423,46 +472,47 @@ class SupervisedEngine:
                       isinstance(error, AlignmentError)
                       else type(error).__name__ if error is not None
                       else "Error")
-        failure = PairFailure(
-            index=index, fault=fault, error_type=error_type,
-            message=str(error) if error is not None else "",
-            attempts=unit.attempt + 1, rungs=unit.rungs)
-        outcome.failures.append(failure)
-        outcome.bump(f"quarantined.{fault}")
-        self.obs.metrics.counter("resilience.quarantined",
-                                 fault=fault).inc()
+        (failure,) = self._fail(
+            outcome, unit, [index], fault, error_type,
+            str(error) if error is not None else "", unit.attempt + 1)
+        self._count(outcome, "quarantined", fault=fault)
         self._emit("quarantine", index=index, fault=fault,
                    error_type=error_type, attempts=unit.attempt + 1,
                    rungs=list(unit.rungs))
         log.warning("quarantined %s", failure)
+        if self.resilience.raise_on_failure:
+            raise PoisonPairError(str(failure), pair_index=index,
+                                  fault=fault)
 
     def _enqueue_rung(self, queue: deque, outcome: BatchOutcome,
                       unit: _Unit) -> bool:
         """Queue the next untried ladder rung for a single-pair unit."""
-        if not self.resilience.degrade:
+        fault = unit.fault or "error"
+        rung = next((name for name, _ in ladder.plan_rungs(self.batch, fault)
+                     if name not in unit.rungs), None)
+        if rung is None or not self.resilience.degrade:
             return False
-        candidates = ladder.plan_rungs(self.batch, unit.fault or "error")
-        for rung, config in candidates:
-            if rung in unit.rungs:
-                continue
-            outcome.bump(f"degraded.{rung}")
-            self.obs.metrics.counter("resilience.degraded",
-                                     rung=rung).inc()
-            self._emit("degrade", index=unit.indices[0], rung=rung,
-                       fault=unit.fault or "error")
-            queue.append(replace(
-                unit, attempt=unit.attempt + 1, rung=rung, config=config,
-                rungs=unit.rungs + (rung,)))
-            return True
-        return False
+        self._count(outcome, "degraded", rung=rung)
+        self._emit("degrade", index=unit.indices[0], rung=rung, fault=fault)
+        queue.append(replace(unit, attempt=unit.attempt + 1, rung=rung,
+                             rungs=unit.rungs + (rung,)))
+        return True
+
+    def _escalate(self, queue: deque, outcome: BatchOutcome, unit: _Unit,
+                  deadline: Deadline) -> None:
+        """The one-pair rule for a unit that failed at ``unit.attempt``:
+        retry on the base path, then the next rung, then quarantine."""
+        if unit.rung is None and unit.attempt < self.resilience.max_retries:
+            self._requeue_retry(queue, outcome, unit, deadline)
+        elif not self._enqueue_rung(queue, outcome, unit):
+            self._quarantine(outcome, unit)
 
     def _dispose(self, queue: deque, outcome: BatchOutcome, unit: _Unit,
-                 exc: BaseException, charge: bool = True) -> None:
+                 exc: BaseException, deadline: Deadline) -> None:
         """Decide what happens to a unit whose execution failed."""
         fault = _classify(exc)
         unit = replace(unit, fault=fault, error=exc)
-        if charge:
-            self._charge(outcome, unit, fault)
+        self._charge(outcome, unit, fault)
         if fault == "deadline":
             self._fail_unit(outcome, unit, exc)
             return
@@ -479,19 +529,14 @@ class SupervisedEngine:
                                  error=None))
             return
         if len(unit.indices) == 1:
-            if unit.rung is None and unit.attempt < \
-                    self.resilience.max_retries:
-                self._requeue_retry(queue, outcome, unit)
-            elif not self._enqueue_rung(queue, outcome, unit):
-                self._quarantine(outcome, unit)
+            self._escalate(queue, outcome, unit, deadline)
             return
         if unit.attempt == 0:
             # One whole-shard retry clears every transient fault cheaply.
-            self._requeue_retry(queue, outcome, unit)
+            self._requeue_retry(queue, outcome, unit, deadline)
             return
         mid = len(unit.indices) // 2
-        outcome.bump("bisections")
-        self.obs.metrics.counter("resilience.bisections").inc()
+        self._count(outcome, "bisections")
         self._emit("bisect", pairs=len(unit.indices), fault=fault)
         queue.append(replace(unit, indices=unit.indices[:mid],
                              attempt=unit.attempt + 1))
@@ -501,16 +546,13 @@ class SupervisedEngine:
     def _fail_unit(self, outcome: BatchOutcome, unit: _Unit,
                    exc: BaseException | None) -> None:
         """Terminal deadline failure for every pair still in a unit."""
-        for index in unit.indices:
-            outcome.failures.append(PairFailure(
-                index=index, fault="deadline",
-                error_type="DeadlineExceeded",
-                message=str(exc) if exc is not None
-                else "work not started before the deadline",
-                attempts=unit.attempt, rungs=unit.rungs))
-        outcome.bump("quarantined.deadline", len(unit.indices))
-        self.obs.metrics.counter("resilience.quarantined",
-                                 fault="deadline").inc(len(unit.indices))
+        self._fail(outcome, unit, unit.indices, "deadline",
+                   "DeadlineExceeded",
+                   str(exc) if exc is not None
+                   else "work not started before the deadline",
+                   unit.attempt)
+        self._count(outcome, "quarantined", len(unit.indices),
+                    fault="deadline")
 
     # -- load shedding -----------------------------------------------------
 
@@ -519,7 +561,7 @@ class SupervisedEngine:
         """Trim a unit to the pairs predicted to finish in the budget.
 
         When the cost model says the whole unit cannot complete inside
-        ``deadline.remaining() / shed_safety``, the predicted-cost tail
+        ``deadline.remaining() / SHED_SAFETY``, the predicted-cost tail
         is shed up front as structured ``"deadline"`` failures (error
         type ``LoadShed``) instead of letting the clock expire mid-run.
         Returns the trimmed unit in original pair order, or ``None``
@@ -530,13 +572,12 @@ class SupervisedEngine:
         remaining = deadline.remaining()
         if remaining == float("inf"):
             return unit
-        safety = self.resilience.shed_safety
         costs = [self._shed_model.estimate(self._pairs[index]).seconds
                  for index in unit.indices]
         predicted = sum(costs)
-        if predicted * safety <= remaining:
+        if predicted * SHED_SAFETY <= remaining:
             return unit
-        budget = remaining / safety
+        budget = remaining / SHED_SAFETY
         keep: list[int] = []
         acc = 0.0
         for local in sorted(range(len(costs)),
@@ -547,8 +588,11 @@ class SupervisedEngine:
             keep.append(local)
         kept = sorted(keep)
         shed = sorted(set(range(len(costs))) - set(kept))
-        self._shed_pairs(outcome, unit,
-                         [unit.indices[local] for local in shed])
+        self._fail(outcome, unit, [unit.indices[local] for local in shed],
+                   "deadline", "LoadShed", "shed: predicted cost exceeds "
+                   "the remaining deadline", unit.attempt)
+        outcome.bump("shed.pairs", len(shed))
+        self.obs.metrics.counter("exec.shed.pairs").inc(len(shed))
         self._emit("shed", pairs=len(shed), kept=len(kept),
                    budget_s=round(budget, 6),
                    predicted_s=round(predicted, 6))
@@ -556,18 +600,6 @@ class SupervisedEngine:
             return None
         return replace(
             unit, indices=[unit.indices[local] for local in kept])
-
-    def _shed_pairs(self, outcome: BatchOutcome, unit: _Unit,
-                    indices: list[int]) -> None:
-        """Record shed pairs as structured deadline failures."""
-        for index in indices:
-            outcome.failures.append(PairFailure(
-                index=index, fault="deadline", error_type="LoadShed",
-                message="shed: predicted cost exceeds the remaining "
-                        "deadline",
-                attempts=unit.attempt, rungs=unit.rungs))
-        outcome.bump("shed.pairs", len(indices))
-        self.obs.metrics.counter("exec.shed.pairs").inc(len(indices))
 
     # -- validation --------------------------------------------------------
 
@@ -590,11 +622,12 @@ class SupervisedEngine:
                     flagged.append(local)
             return flagged
         # Score-only batches carry no CIGAR to rescore: compare against
-        # a clean redundant recompute (injection suppressed so even a
-        # globally installed plan cannot corrupt the reference).
+        # a clean redundant recompute (injection switched off so even a
+        # plan active in the caller's context cannot corrupt the
+        # reference).
         engine = BatchEngine(self.config, self._unit_config(unit),
                              self.obs)
-        with chaos.suppressed():
+        with chaos.scoped(None):
             clean = engine.run([self._pairs[i] for i in unit.indices])
         for local, (got, want) in enumerate(zip(results, clean)):
             if got.score != want.score:
@@ -602,21 +635,15 @@ class SupervisedEngine:
         return flagged
 
     def _absorb(self, queue: deque, outcome: BatchOutcome, unit: _Unit,
-                results: list[AlignerResult]) -> None:
+                results: list[AlignerResult], deadline: Deadline) -> None:
         """Bank a unit's results; peel off corrupt / promotable pairs."""
         flagged = set(self._validate_unit(unit, results))
         for local in sorted(flagged):
             corrupt = replace(
-                unit, indices=[unit.indices[local]],
-                attempt=unit.attempt + 1, fault="bitflip",
+                unit, indices=[unit.indices[local]], fault="bitflip",
                 error=AlignmentError("result failed validation"))
             self._charge(outcome, corrupt, "bitflip")
-            if corrupt.attempt <= self.resilience.max_retries and \
-                    corrupt.rung is None:
-                self._requeue_retry(queue, outcome,
-                                    replace(corrupt, attempt=unit.attempt))
-            elif not self._enqueue_rung(queue, outcome, corrupt):
-                self._quarantine(outcome, corrupt)
+            self._escalate(queue, outcome, corrupt, deadline)
         for local, result in enumerate(results):
             if local in flagged:
                 continue
@@ -649,22 +676,13 @@ class SupervisedEngine:
                 "attempt": int(unit.attempt), "rung": unit.rung,
                 "rungs": list(unit.rungs), "fault": unit.fault}
 
-    def _unit_from_doc(self, doc: dict) -> _Unit:
-        rung = doc.get("rung")
-        fault = doc.get("fault")
-        config = None
-        if rung is not None:
-            # The rung's degraded BatchConfig is a pure function of
-            # (base batch config, fault) -- rebuild instead of storing.
-            for name, candidate in ladder.plan_rungs(
-                    self.batch, fault or "error"):
-                if name == rung:
-                    config = candidate
-                    break
+    @staticmethod
+    def _unit_from_doc(doc: dict) -> _Unit:
         return _Unit(indices=[int(i) for i in doc["indices"]],
-                     attempt=int(doc.get("attempt", 0)), rung=rung,
-                     config=config,
-                     rungs=tuple(doc.get("rungs") or ()), fault=fault)
+                     attempt=int(doc.get("attempt", 0)),
+                     rung=doc.get("rung"),
+                     rungs=tuple(doc.get("rungs") or ()),
+                     fault=doc.get("fault"))
 
     def _write_document(self, outcome: BatchOutcome, queue: deque,
                         complete: bool) -> None:
@@ -692,7 +710,10 @@ class SupervisedEngine:
         changed, and -- under a kill-at-unit chaos plan -- die like a
         SIGKILL would, *after* the journal line so only in-flight work
         is lost."""
-        self._heartbeat(outcome, queue)
+        if self.obs.events.enabled:
+            self._emit("heartbeat", done=outcome.completed(),
+                       total=len(outcome.results),
+                       failures=len(outcome.failures), queued=len(queue))
         self._units_settled += 1
         if self._journal is not None:
             self._journal.append(
@@ -747,12 +768,14 @@ class SupervisedEngine:
         self._pairs = _as_pairs(pairs)
         self._journal = (outcome_io.Journal(checkpoint_path)
                          if checkpoint_path is not None else None)
-        self._units_settled = 0
-        self._wave_pending: list[_Unit] = []
-        self._fresh: list[int] = []
         self._digest = (outcome_io.pairs_digest(self._pairs)
                         if (checkpoint_path is not None
                             or resume is not None) else None)
+        self._units_settled = 0
+        # Wave units not yet absorbed; indices banked since the last
+        # journal line.
+        self._wave_pending: list[_Unit] = []
+        self._fresh: list[int] = []
         queue: deque[_Unit] = deque()
         if resume is not None:
             checkpoint = self._load_resume(resume)
@@ -802,13 +825,10 @@ class SupervisedEngine:
                    failures=len(outcome.failures),
                    counters=dict(outcome.counters), run_id=self.run_id)
         if outcome.failures and self.resilience.raise_on_failure:
-            first = outcome.failures[0]
-            if all(f.fault == "deadline" for f in outcome.failures):
-                raise DeadlineExceeded(
-                    f"{len(outcome.failures)} pair(s) missed the "
-                    f"deadline (first: pair {first.index})")
-            raise PoisonPairError(str(first), pair_index=first.index,
-                                  fault=first.fault)
+            # A quarantine would have raised already: all are deadlines.
+            raise DeadlineExceeded(
+                f"{len(outcome.failures)} pair(s) missed the deadline "
+                f"(first: pair {outcome.failures[0].index})")
         return outcome
 
     def _run_wave(self, wave: list[_Unit], queue: deque,
@@ -836,47 +856,16 @@ class SupervisedEngine:
         for shard_id, unit in enumerate(wave):
             self._emit("shard_start", shard=shard_id,
                        pairs=len(unit.indices))
-            submitted.append((unit, self._submit(unit),
-                              self._generation, shard_id,
-                              time.perf_counter()))
-        for unit, future, generation, shard_id, started in submitted:
-            try:
-                results = self._wait(unit, future, deadline)
-            except BrokenExecutor as exc:
-                self._taint_executor()
-                # One unit killed this pool generation; its shardmates'
-                # futures break too, through no fault of their own --
-                # those requeue uncharged at the same attempt.
-                if generation in self._charged_generations:
-                    queue.append(replace(unit, fault=None, error=None))
-                else:
-                    self._charged_generations.add(generation)
-                    self._dispose(queue, outcome, unit, exc)
-            except CancelledError:
-                # Lost to an executor taint before it started; re-run
-                # as if never submitted.
-                queue.append(replace(unit, fault=None, error=None))
-            except Exception as exc:  # noqa: BLE001 - classified below
-                self._dispose(queue, outcome, unit, exc)
-            else:
-                elapsed = time.perf_counter() - started
-                self._absorb(queue, outcome, unit, results)
-                self.obs.metrics.distribution(
-                    "resilience.unit_latency_us").observe(elapsed * 1e6)
+            submitted.append((unit, (self._submit(unit), self._generation,
+                                     time.perf_counter())))
+        for shard_id, (unit, handle) in enumerate(submitted):
+            elapsed = self._collect(queue, outcome, unit, deadline, handle)
+            if elapsed is not None:
                 self._emit("shard_done", shard=shard_id,
                            pairs=len(unit.indices),
                            elapsed_s=round(elapsed, 6))
             self._wave_pending.pop(0)
             self._settle(outcome, queue)
-
-    def _heartbeat(self, outcome: BatchOutcome, queue: deque) -> None:
-        if not self.obs.events.enabled:
-            return
-        done = sum(result is not None for result in outcome.results)
-        self.obs.events.emit("heartbeat", done=done,
-                             total=len(outcome.results),
-                             failures=len(outcome.failures),
-                             queued=len(queue))
 
     def _run_recovery(self, queue: deque, outcome: BatchOutcome,
                       deadline: Deadline) -> None:
@@ -892,21 +881,8 @@ class SupervisedEngine:
                 self._settle(outcome, queue)
                 continue
             unit = trimmed
-            self._backoff(unit, deadline)
-            started = time.perf_counter()
-            try:
-                future = self._submit(unit)
-                results = self._wait(unit, future, deadline)
-            except BrokenExecutor as exc:
-                self._taint_executor()
-                self._dispose(queue, outcome, unit, exc)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                self._dispose(queue, outcome, unit, exc)
-            else:
-                elapsed = time.perf_counter() - started
-                self._absorb(queue, outcome, unit, results)
-                self.obs.metrics.distribution(
-                    "resilience.unit_latency_us").observe(elapsed * 1e6)
+            elapsed = self._collect(queue, outcome, unit, deadline)
+            if elapsed is not None:
                 self._emit("unit_done", pairs=len(unit.indices),
                            attempt=unit.attempt, rung=unit.rung,
                            elapsed_s=round(elapsed, 6))

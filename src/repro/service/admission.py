@@ -34,8 +34,8 @@ class AdmissionPolicy:
         max_queue_depth: Reject (``queue-full``) once this many jobs
             are already admitted and waiting.
         safety: Multiplier on the predicted wait+run time before it is
-            compared to the job's deadline (same pessimism knob as the
-            engine-level ``shed_safety``).
+            compared to the job's deadline (the same pessimism as the
+            supervisor's ``SHED_SAFETY`` in load shedding).
         max_backlog_s: Optional cap on predicted backlog seconds; when
             set, a job that would push the backlog past it is rejected
             (``backlog``) even without its own deadline.

@@ -23,10 +23,19 @@ without the exact-rung promotion; load shedding under a pessimistic
 cost model, alone and with chaos on small units; and ``engine="auto"``
 on unit-cost pairs.
 
-``tests/fixtures/supervisor_characterisation.json`` holds the record,
-taken before the supervisor's unit path was consolidated, except for
-two changes that consolidation made on purpose (see
-``tests/test_supervisor_characterisation.py``).
+``tests/fixtures/supervisor_characterisation.json`` holds the record
+as taken before the supervisor's unit path was consolidated, except
+for two changes that consolidation made on purpose:
+
+- a pair that fails validation (``bitflip``) counts one attempt per
+  execution: its ``PairFailure.attempts``, the ``attempts`` of its
+  ``quarantine`` event and the ``attempt`` of its ``fault`` events
+  were one too high, two once its ladder rung ran (the rung skipped an
+  attempt number, so that rung's ``unit_done`` was one too high);
+- ``chaos-strict-raise`` raises at its first quarantine, so its events
+  and counters stop there (same error type and pair; the message
+  carries the corrected attempt count).
+
 ``tests/test_supervisor_characterisation.py`` asserts the supervisor
 still reproduces it byte for byte. Regenerate (only for an intended
 behaviour change) with

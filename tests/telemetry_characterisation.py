@@ -353,8 +353,7 @@ def _record_daemon(scratch: str) -> None:
     # A deadline the cost model cannot meet: the supervisor sheds.
     SupervisedEngine(
         config, BatchConfig(traceback=False),
-        ResilienceConfig(deadline_s=60.0, shed_safety=1.0,
-                         backend="thread",
+        ResilienceConfig(deadline_s=60.0, backend="thread",
                          cost_model=CostModel(seconds_per_cell=0.005)),
         obs=ctx, tenant="zeno").run(
             [(config.encode(q), config.encode(r)) for q, r in pairs[:12]])

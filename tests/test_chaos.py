@@ -329,7 +329,7 @@ class TestChaosPlanUnit:
         assert not chaos.is_active()
         with chaos.scoped(plan):
             assert chaos.active() is plan
-            with chaos.suppressed():
+            with chaos.scoped(None):
                 assert not chaos.is_active()
             assert chaos.active() is plan
         assert not chaos.is_active()

@@ -92,11 +92,7 @@ class TestPlannerPolicy:
         with pytest.raises(ConfigurationError):
             PlannerPolicy(k=0)
         with pytest.raises(ConfigurationError):
-            PlannerPolicy(wavefront_divergence=-0.1)
-        with pytest.raises(ConfigurationError):
             PlannerPolicy(banded_divergence=1.5)
-        with pytest.raises(ConfigurationError):
-            PlannerPolicy(wavefront_divergence=0.5, banded_divergence=0.2)
         with pytest.raises(ConfigurationError):
             PlannerPolicy(min_length=-1)
         with pytest.raises(ConfigurationError):
@@ -491,8 +487,7 @@ class TestAutoEngineConformance:
         """A policy that disables the fast routes degrades auto to the
         plain full engine -- same results, all pairs routed full."""
         pairs = _mixed_corpus(rng, count=6)
-        policy = PlannerPolicy(wavefront_divergence=0.0,
-                               banded_divergence=0.0)
+        policy = PlannerPolicy(banded_divergence=0.0)
         obs = Observability.enabled_context()
         auto = BatchEngine(EDIT, BatchConfig(engine="auto", traceback=True,
                                              planner=policy),
@@ -557,8 +552,6 @@ def _slow_model(seconds_per_cell=0.005):
 
 class TestLoadShedding:
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(shed_safety=0.5)
         assert ResilienceConfig(shed=False).shed is False
 
     def test_sheds_predicted_cost_tail_exactly_once(self, rng):
@@ -567,7 +560,7 @@ class TestLoadShedding:
         obs = Observability.enabled_context(events=EventStream())
         policy = ResilienceConfig(deadline_s=60.0,
                                   cost_model=_slow_model(),
-                                  shed_safety=1.0, **THREAD)
+                                  **THREAD)
         outcome = SupervisedEngine(
             EDIT, BatchConfig(traceback=False), policy, obs).run(pairs)
         assert outcome.failures, "pessimistic model must shed"
@@ -594,7 +587,7 @@ class TestLoadShedding:
         pairs = [make_pair(EDIT, n, 0.02, rng) for n in lengths]
         model = _slow_model()
         policy = ResilienceConfig(deadline_s=30.0, cost_model=model,
-                                  shed_safety=1.0, **THREAD)
+                                  **THREAD)
         outcome = SupervisedEngine(
             EDIT, BatchConfig(traceback=False), policy).run(pairs)
         shed = {f.index for f in outcome.failures}
@@ -626,7 +619,7 @@ class TestLoadShedding:
         obs = Observability.enabled_context()
         policy = ResilienceConfig(deadline_s=60.0,
                                   cost_model=_slow_model(0.0004),
-                                  shed_safety=1.0, max_retries=3,
+                                  max_retries=3,
                                   **THREAD)
         outcome = SupervisedEngine(
             EDIT, BatchConfig(traceback=False), policy, obs,
@@ -649,7 +642,7 @@ class TestLoadShedding:
                  ("A" * 300, "A" * 299)]
         policy = ResilienceConfig(deadline_s=30.0,
                                   cost_model=_slow_model(),
-                                  shed_safety=1.0, **THREAD)
+                                  **THREAD)
         out = align_batch(pairs, resilience=policy)
         from repro.resilience import PairFailure
         failures = [x for x in out if isinstance(x, PairFailure)]

@@ -29,6 +29,7 @@ from repro.exec.sharding import run_sharded, shard_spans
 from repro.obs import get_obs
 from repro.resilience import (
     BatchOutcome,
+    ChaosPlan,
     Deadline,
     PairFailure,
     ResilienceConfig,
@@ -213,6 +214,36 @@ class TestValidation:
         for want, got in zip(plain, outcome.results):
             assert want.score == got.score
 
+    @pytest.mark.parametrize("fault, runs", [
+        ("bitflip", ["vector"] * 3 + ["scalar"]),
+        ("rangeerror", ["vector"] * 4 + ["scalar"]),
+        ("oserror", ["vector"] * 3),
+    ])
+    def test_quarantine_counts_each_execution_once(self, configs, rng,
+                                                   monkeypatch, fault,
+                                                   runs):
+        """A pair failing on every attempt is quarantined with one
+        attempt per execution, whether validation or an exception
+        caught the failure: retries, then one attempt per rung."""
+        config = configs["dna-gap"]
+        pair = make_pair(config, 30, 0.1, rng)
+        ran = []
+        inline = BatchEngine._run_inline
+
+        def counted(self, pairs, deadline):
+            ran.append(self.batch.engine)
+            return inline(self, pairs, deadline)
+
+        monkeypatch.setattr(BatchEngine, "_run_inline", counted)
+        plan = ChaosPlan(seed=1, persistent_fraction=1.0, **{fault: 1.0})
+        outcome = SupervisedEngine(
+            config, BatchConfig(), ResilienceConfig(validate=True, **THREAD),
+            plan=plan).run([pair])
+        assert ran == runs
+        (failure,) = outcome.failures
+        assert failure.fault == fault
+        assert failure.attempts == len(runs)
+
     def test_alignment_error_carries_pair_index(self, configs, rng):
         err = AlignmentError("boom")
         assert err.pair_index is None
@@ -306,6 +337,24 @@ class TestShardingFailureSplit:
         assert raised.value.pair_index == 0
         assert raised.value.fault == "rangeerror"
         assert "RangeError" in str(raised.value)
+
+    def test_strict_run_fails_fast(self, configs, rng, monkeypatch):
+        """A strict run raises at the first pair it quarantines, and
+        backs off only before each shard's one whole-shard retry --
+        never before a bisection half."""
+        config = configs["dna-edit"]
+        pairs = _pairs(config, rng, count=16)
+
+        def boom(self, pairs, deadline):
+            raise RangeError("delta out of range")
+
+        monkeypatch.setattr(BatchEngine, "_run_inline", boom)
+        naps: list[float] = []
+        monkeypatch.setattr("time.sleep", naps.append)
+        with pytest.raises(PoisonPairError) as raised:
+            run_sharded(config, BatchConfig(workers=2), pairs, get_obs())
+        assert raised.value.pair_index == 0
+        assert len(naps) <= 2
 
     def test_configuration_error_raises_unwrapped(self, configs, rng):
         """A route that cannot run the scoring model is refused before
