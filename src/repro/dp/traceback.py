@@ -139,10 +139,10 @@ def walk_moves(buckets, kind: str,
 
     Args:
         buckets: Per bucket ``(planes, end_i, end_j, q, r)``: the
-            ``(P, B, n+1, m+1)`` bool planes ``[diag_ok, up_ok]`` (plus
-            the ``H == 0`` stop plane of a ``local`` sweep), the
-            ``(B,)`` cells the walks start from, and the padded
-            ``(B, n)`` / ``(B, m)`` code arrays.
+            ``(P, n+1, m+1, B)`` bool planes ``[diag_ok, up_ok]``, lanes
+            innermost (plus the ``H == 0`` stop plane of a ``local``
+            sweep), the ``(B,)`` cells the walks start from, and the
+            padded ``(B, n)`` / ``(B, m)`` code arrays.
         kind: ``"global"`` walks to ``(0, 0)``, ``"semiglobal"`` to row
             0, ``"local"`` to the first cell whose stop bit is set.
 
@@ -152,13 +152,14 @@ def walk_moves(buckets, kind: str,
         The walk keeps ``steps x lanes`` bytes of history per plane,
         ``steps`` being the largest ``end_i + end_j``.
     """
-    base, stride, q_at, r_at = [], [], [], []
+    base, row_pitch, lane_pitch, q_at, r_at = [], [], [], [], []
     cells = q_cells = r_cells = 0
     for planes, _, _, q, r in buckets:
-        _, size, rows, cols = planes.shape
+        _, rows, cols, size = planes.shape
         lane = np.arange(size, dtype=np.int64)
-        base.append(cells + lane * (rows * cols))
-        stride.append(np.full(size, cols, dtype=np.int64))
+        base.append(cells + lane)
+        row_pitch.append(np.full(size, cols * size, dtype=np.int64))
+        lane_pitch.append(np.full(size, size, dtype=np.int64))
         q_at.append(q_cells + lane * q.shape[1])
         r_at.append(r_cells + lane * r.shape[1])
         cells += size * rows * cols
@@ -177,19 +178,22 @@ def walk_moves(buckets, kind: str,
     # tail by shortening views; every step leaves a row or a column.
     order = np.argsort(-(end_i + end_j), kind="stable")
     end_i, end_j = end_i[order], end_j[order]
-    base, stride = np.concatenate(base)[order], np.concatenate(stride)[order]
+    base = np.concatenate(base)[order]
+    row_pitch = np.concatenate(row_pitch)[order]
+    lane_pitch = np.concatenate(lane_pitch)[order]
     q_at, r_at = np.concatenate(q_at)[order], np.concatenate(r_at)[order]
-    floor = base + (stride - 1) * (kind == "semiglobal")
-    pos = base + end_i * stride + end_j
+    floor = base + (row_pitch - lane_pitch) * (kind == "semiglobal")
+    pos = base + end_i * row_pitch + end_j * lane_pitch
     lanes = len(base)
     steps = int((end_i + end_j).max(initial=0)) + 1
     bits = np.zeros((steps, depth, lanes), dtype=bool)
     alive = np.zeros((steps, lanes), dtype=bool)
-    rolling = (pos, floor, stride, np.empty(lanes, dtype=bool),
-               np.empty(lanes, dtype=bool), np.empty(lanes, dtype=np.int64))
+    rolling = (pos, floor, row_pitch, lane_pitch, np.empty(lanes, dtype=bool),
+               np.empty(lanes, dtype=bool), np.empty(lanes, dtype=np.int64),
+               np.empty(lanes, dtype=np.int64))
     width, step = lanes, 0
     while True:
-        at, stop, pitch, down, left, jump = rolling
+        at, stop, pitch, lane_step, down, left, jump, across = rolling
         got, live = bits[step, :, :width], alive[step, :width]
         np.take(flat, at, axis=1, out=got, mode="clip")
         if kind == "local":
@@ -206,7 +210,8 @@ def walk_moves(buckets, kind: str,
         np.logical_or(got[0], got[1], out=down)
         np.greater_equal(got[0], got[1], out=left)
         np.multiply(down, pitch, out=jump)
-        np.add(jump, left, out=jump)
+        np.multiply(left, lane_step, out=across)
+        np.add(jump, across, out=jump)
         np.multiply(jump, live, out=jump)       # a finished lane stays
         np.subtract(at, jump, out=at)
         step += 1
@@ -237,7 +242,8 @@ def walk_moves(buckets, kind: str,
                                   minlength=lanes)).tolist()
     starts = [0] + stops
     undo = np.argsort(order)
-    start_i, start_j = np.divmod(pos - base, stride)
+    start_i, start_j = np.divmod((pos - base) // lane_pitch,
+                                 row_pitch // lane_pitch)
     return ([runs[starts[k]:stops[k]] for k in undo.tolist()],
             start_i[undo].tolist(), start_j[undo].tolist())
 

@@ -1,19 +1,23 @@
 """Batched vectorized DP kernels: one NumPy sweep, many alignments.
 
 Every kernel runs the *same* integer recurrence as its scalar
-counterpart in ``repro.algorithms`` -- same prefix-scan row trick, same
-``NEG_INF`` sentinel, in int64 or a narrower dtype proven safe for the
-bucket -- but over a whole :class:`~repro.exec.buckets.PairBatch` at
-once: each ``np.maximum`` / ``np.maximum.accumulate`` sweep advances
-one DP row of *every* pair in the bucket (the batching axis plays the
-role the anti-diagonal lanes play in Scrooge/KSW2). Because integer max/add is exact, the results
-are bit-identical to the scalar algorithms; the conformance suite
-(``tests/test_conformance.py``) locks both to the brute-force oracle.
+counterpart in ``repro.algorithms`` -- same ``NEG_INF`` sentinel, in
+int64 or a narrower dtype proven safe for the bucket -- but over a
+whole :class:`~repro.exec.buckets.PairBatch` at once, the batching
+axis playing the role the anti-diagonal lanes play in Scrooge/KSW2.
+The linear sweep advances one *anti-diagonal* of every pair per step,
+a handful of element-wise ops on ``(diag, B)`` lanes with no scan
+(SMX-1D's schedule); the affine and banded sweeps advance one DP row
+per step with the scalar aligners' prefix-scan row trick. Because
+integer max/add is exact, the results are bit-identical to the scalar
+algorithms; the conformance suite (``tests/test_conformance.py``)
+locks both to the brute-force oracle.
 
 Kernels come in two shapes:
 
-- ``keep=False`` (score mode): rolling ``(B, m+1)`` rows, each pair's
-  score captured the moment the sweep passes its true ``q_len`` row;
+- ``keep=False`` (score mode): rolling buffers, each pair's score
+  captured the moment the sweep passes its true ``(q_len, r_len)``
+  extent;
 - ``keep=True`` (alignment mode): the state a traceback reads, for
   callers that chunk the batch to bound memory. The linear sweep keeps
   *moves*, not scores -- one byte per cell and plane saying which
@@ -22,9 +26,10 @@ Kernels come in two shapes:
   its corridor (:class:`KeptBand`); the affine sweep still keeps full
   ``(B, n+1, m+1)`` int64 score matrices.
 
-Pairs shorter than the bucket rectangle are *frozen* once their rows
-are done (``np.where`` keeps their state), and reductions mask padded
-columns, so padding never leaks into a result.
+Padding never leaks into a result: DP dependencies only flow
+right/down, so a pair's cells never read its padding, and kernels read
+each pair's answer at its true extent and mask padded cells wherever
+they reduce.
 """
 
 from __future__ import annotations
@@ -77,18 +82,22 @@ def _max_abs_term(model: ScoringModel, table: np.ndarray | None) -> int:
 def _linear_dtype(model: ScoringModel, table: np.ndarray | None,
                   n_max: int, m_max: int,
                   force_wide: bool = False) -> type:
-    """Narrowest safe dtype for the tilted linear sweep.
+    """Narrowest safe dtype for the linear sweep.
 
-    Tilted values are bounded by ``(n + 2m) * max|score term|``; when
-    that fits comfortably in int32 the sweep halves its memory traffic
-    (integer max/add is exact in either width, so results are
+    Every value the sweep forms -- a cell, or a cell plus one term --
+    sums at most ``n + m + 1`` score terms, so it is bounded by
+    ``(n + m + 2) * max|score term|``. Below ``2**14`` the sweep runs
+    on int16 lanes, below ``2**30`` on int32, each with a factor of two
+    to spare (integer max/add is exact in any width, so results are
     bit-identical). ``force_wide`` pins int64 -- the degradation
     ladder's answer when an overflow guard / range check trips on the
     narrowed path.
     """
     if force_wide:
         return np.int64
-    bound = (n_max + 2 * m_max + 2) * _max_abs_term(model, table)
+    bound = (n_max + m_max + 2) * _max_abs_term(model, table)
+    if bound < 2 ** 14:
+        return np.int16
     return np.int32 if bound < 2 ** 30 else np.int64
 
 
@@ -97,7 +106,7 @@ def linear_dtype(model: ScoringModel, n_max: int, m_max: int,
     """The dtype :func:`sweep_linear` will pick for these dimensions.
 
     Public so the engine's profiler can label kernel phases
-    (``linear.global[int32]``) and size modeled memory traffic without
+    (``linear.global[int16]``) and size modeled memory traffic without
     duplicating the narrowing rule.
     """
     return _linear_dtype(model, _score_table(model), n_max, m_max,
@@ -110,12 +119,13 @@ class KeptMoves:
 
     Attributes:
         batch: The bucket that was swept.
-        planes: ``(P, B, n+1, m+1)`` bool. ``planes[0][b, i, j]`` says
-            the diagonal reproduces ``H_b[i][j]``, ``planes[1]`` that
-            the up move does; the library-wide tie priority is how
-            they are read -- diagonal, else up, else left -- so row 0
-            is all false and column 0 all up. ``local`` sweeps add
-            ``planes[2]``, the ``H == 0`` bit that stops the walk.
+        planes: ``(P, n+1, m+1, B)`` bool, lanes innermost.
+            ``planes[0][i, j, b]`` says the diagonal reproduces
+            ``H_b[i][j]``, ``planes[1]`` that the up move does; the
+            library-wide tie priority is how they are read -- diagonal,
+            else up, else left -- so row 0 is all false and column 0
+            all up. ``local`` sweeps add ``planes[2]``, the ``H == 0``
+            bit that stops the walk.
         scores: ``(B,)`` int64 scores, the same ``keep=False`` returns.
         end_i / end_j: ``(B,)`` cell each pair's walk starts from: the
             ``(q_len, r_len)`` corner, the first maximum of the last
@@ -133,16 +143,20 @@ class KeptMoves:
 def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
                  keep: bool, force_wide: bool = False,
                  ) -> np.ndarray | KeptMoves:
-    """Batched linear-gap sweep.
+    """Batched linear-gap sweep, one anti-diagonal at a time.
 
-    The running row is kept *tilted* -- ``row'[j] = H[i][j] - j*gap_d``
-    -- so the prefix-scan needs no per-row offset subtract/add: the
-    horizontal chain becomes a plain ``np.maximum.accumulate`` and the
-    two offset passes vanish. Values are untilted only where they
-    escape (captures), so every emitted number is identical to the
-    untilted scalar recurrence; the kept move bits compare tilted
-    values of one column with each other, which the tilt cancels out
-    of.
+    Cell ``(i, j)`` reads only cells of the two diagonals before
+    ``d = i + j``, so one diagonal of every pair in the bucket is a
+    handful of element-wise ops -- substitution scores, the diagonal,
+    up and left adds, two maxima (and a clamp at zero for ``local``)
+    -- with no prefix scan. Three rolling ``(n+1, B)`` buffers hold
+    diagonals ``d-2``, ``d-1`` and ``d`` by row ``i``, lanes innermost;
+    with the query transposed to ``(n, B)`` and the reference reversed
+    and transposed to ``(m, B)``, every operand of a diagonal is a
+    contiguous row slice. Interior cells read only cells of the
+    rectangle, each written on its own diagonal (each kind writes its
+    own borders ``H[0][d]`` and ``H[d][0]``), so no sentinel enters
+    and every value is the scalar recurrence's.
 
     Args:
         kind: ``"global"`` (NW borders), ``"semiglobal"`` (free leading
@@ -158,142 +172,124 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
     n_max = batch.q.shape[1]
     table = _score_table(model)
     dtype = _linear_dtype(model, table, n_max, m_max, force_wide)
-    gap_i, gap_d = model.gap_i, model.gap_d
-    cols = np.arange(m_max + 1, dtype=dtype)
-    offsets = cols * dtype(gap_d)
-    valid = cols <= batch.r_len[:, None]
-    mm = isinstance(model, MatchMismatchModel)
-    if mm:
-        score_bound = max(abs(model.match - gap_d),
-                          abs(model.mismatch - gap_d))
-    else:
-        score_bound = int(np.abs(table - gap_d).max())
-    # Substitution scores are tiny; a narrow buffer halves their
-    # memory traffic (adds upcast to the row dtype exactly). For table
-    # models whose bucket fits a modest int8 tensor, precompute every
-    # row's scores in one vectorized gather so the sweep reads
-    # zero-copy views (match/mismatch scores are cheap to recompute
-    # per row, so they skip the tensor).
-    score_dtype = dtype if force_wide else (
-        np.int16 if score_bound < 2 ** 14 else dtype)
-    tensor = None
-    if not mm and not force_wide and score_bound < 127 \
-            and B * n_max * m_max <= (1 << 26):
-        table_i8 = (table - gap_d).astype(np.int8)
-        n_sym = table_i8.shape[0]
-        flat = table_i8[:, batch.r.astype(np.intp)].transpose(1, 0, 2)
-        flat = np.ascontiguousarray(flat).reshape(B * n_sym, m_max)
-        idx = np.arange(B, dtype=np.int64)[:, None] * n_sym + batch.q
-        tensor = np.take(flat, idx, axis=0)
-        scores = eq = None
-    elif mm:
-        # Fold the tilt's "- gap_d" into the substitution scores.
-        match_t = score_dtype(model.match - gap_d)
-        miss_t = score_dtype(model.mismatch - gap_d)
-        eq = np.empty((B, m_max), dtype=bool)
-        scores = np.empty((B, m_max), dtype=score_dtype)
-    else:
-        # Per-pair scoring profile: profile[b * n_sym + c, j] =
-        # S(c, r[b, j]) - gap_d. One random-access gather per bucket;
-        # every row then pulls one contiguous profile row per pair
-        # (``np.take`` straight into the scores buffer) instead of
-        # doing a 2-D random gather into the substitution table.
-        table_t = (table - gap_d).astype(score_dtype)
-        n_sym = table_t.shape[0]
-        profile = np.ascontiguousarray(
-            table_t[:, batch.r.astype(np.intp)].transpose(1, 0, 2)
-        ).reshape(B * n_sym, m_max)
-        b_base = np.arange(B, dtype=np.int64) * n_sym
-        eq = None
-        scores = np.empty((B, m_max), dtype=score_dtype)
-    diag = np.empty((B, m_max), dtype=dtype)
-
-    if kind == "global":
-        row = np.zeros((B, m_max + 1), dtype=dtype)  # H = offsets
-    else:
-        row = np.negative(np.broadcast_to(offsets, (B, m_max + 1)))
-        row = np.ascontiguousarray(row)              # H = 0
-    neg_offsets = -offsets
-    out = np.zeros(B, dtype=np.int64)
-    masked_floor = dtype(np.iinfo(dtype).min // 4)
+    gap_i, gap_d = dtype(model.gap_i), dtype(model.gap_d)
     local = kind == "local"
+    # Cell (i, d - i) reads query row i - 1 and reversed reference row
+    # m - d + i: both step by one row as i does.
+    q = np.ascontiguousarray(batch.q.T)
+    r = np.ascontiguousarray(batch.r[:, ::-1].T)
+    if table is None:
+        mismatch = dtype(model.mismatch)
+        delta = dtype(model.match - model.mismatch)
+        eq = np.empty((n_max, B), dtype=bool)
+    else:
+        flat = table.astype(dtype).ravel()
+        index = np.min_scalar_type(table.size - 1)
+        q = q.astype(index) * table.shape[0]
+        r = r.astype(index)
+        at = np.empty((n_max, B), dtype=index)
+    sub, diag, up = (np.empty((n_max, B), dtype=dtype) for _ in range(3))
+    h2, h1, h = (np.empty((n_max + 1, B), dtype=dtype) for _ in range(3))
+
+    # Each diagonal records what the captures need into ``seen``,
+    # resolved once the sweep is done: each lane's row q_len (global /
+    # semiglobal), or the diagonal's peak over the pair's own cells and,
+    # as n + 1 - i, the first row holding it (local).
+    steps = n_max + m_max + 1
     if local:
-        best = np.zeros(B, dtype=np.int64)          # running maximum
-        untilted = np.empty((B, m_max + 1), dtype=dtype)
+        seen = np.zeros((steps, B), dtype=dtype)
+        zeros = np.zeros((n_max, B), dtype=dtype)
+        # Padded cells capped to 0: row i <= q_len, and reversed
+        # reference row m - j with j <= r_len.
+        top = np.iinfo(dtype).max
+        q_cap = np.where(np.arange(n_max + 1)[:, None] <= batch.q_len,
+                         top, 0).astype(dtype)
+        r_cap = np.where(np.arange(m_max, 0, -1)[:, None] <= batch.r_len,
+                         top, 0).astype(dtype)
+        masked = np.empty((n_max, B), dtype=dtype)
+        ranks = np.zeros((steps, B), dtype=dtype)
+        ranks[0] = n_max + 1                        # H[0][0] = 0
+    else:
+        row_at = batch.q_len * B + np.arange(B)
+        last = batch.q_len + batch.r_len
+        first = last if kind == "global" else batch.q_len
+        reads = range(int(first.min()), int(last.max()) + 1)
+        seen = np.empty((len(reads), B), dtype=dtype)
     if keep:
-        planes = np.zeros((2 + local, B, n_max + 1, m_max + 1), dtype=bool)
-        diag_ok, up_ok = planes[0], planes[1]
+        planes = np.zeros((2 + local, n_max + 1, m_max + 1, B), dtype=bool)
         if local:
-            planes[2, :, 0, :] = True                # H[0][j] = 0
+            planes[2, 0] = planes[2, :, 0] = True   # H = 0 on the borders
+            rank = np.arange(n_max + 1, 0, -1, dtype=dtype)[:, None]
+            hit = np.empty((n_max, B), dtype=bool)
+            ranked = np.empty((n_max, B), dtype=dtype)
         else:
-            up_ok[:, 1:, 0] = True                   # H[i][0] = i * gap_i
-        end_i = np.zeros(B, dtype=np.int64) if local else batch.q_len
-        end_j = batch.r_len if kind == "global" \
-            else np.zeros(B, dtype=np.int64)
-    up_kept = np.empty((B, m_max), dtype=dtype) if keep else None
+            planes[1, 1:, 0] = True                 # H[i][0] = i * gap_i
+        # views[p][i, d] is plane p's cell (i, d - i).
+        views = [np.lib.stride_tricks.as_strided(
+            plane, shape=(n_max + 1, steps, B),
+            strides=(m_max * B, B, 1)) for plane in planes]
 
-    def capture(i: int, current: np.ndarray) -> None:
-        done = batch.q_len == i
-        if not done.any():
-            return
-        if kind == "global":
-            ends = batch.r_len[done]
-            out[done] = current[done, ends].astype(np.int64) \
-                + ends * gap_d
-        elif kind == "semiglobal":
-            # Untilt + mask only the finishing pairs (column 0 is
-            # always valid, so the mask floor never escapes).
-            masked = np.where(valid[done], current[done] + offsets,
-                              masked_floor)
-            out[done] = masked.max(axis=1).astype(np.int64)
-            if keep:
-                end_j[done] = masked.argmax(axis=1)
-        # local is captured via the running best below
-
-    capture(0, row)
-    g = np.empty((B, m_max + 1), dtype=dtype)
-    for i in range(1, n_max + 1):
-        if tensor is not None:
-            scores = tensor[:, i - 1, :]
-        elif mm:
-            np.equal(batch.r, batch.q[:, i - 1][:, None], out=eq)
-            np.multiply(eq, match_t - miss_t, out=scores)
-            scores += miss_t
-        else:
-            np.take(profile, b_base + batch.q[:, i - 1], axis=0,
-                    out=scores)
-        g[:, 0] = 0 if local else i * gap_i
-        inner = g[:, 1:]
-        up = up_kept if keep else inner     # score mode: built in place
-        np.add(row[:, :-1], scores, out=diag)
-        np.add(row[:, 1:], dtype(gap_i), out=up)
-        np.maximum(diag, up, out=inner)
-        np.maximum.accumulate(g, axis=1, out=g)
-        row, g = g, row
-        if local:
-            np.maximum(row, neg_offsets, out=row)   # H = max(H, 0)
-            active = batch.q_len >= i
-            if active.any():
-                np.add(row, offsets, out=untilted)
-                masked = np.where(valid, untilted, 0)
-                row_best = masked.max(axis=1)
-                if keep:
-                    # Strictly better only: the first maximum in
-                    # row-major order is where the scalar walk starts.
-                    better = active & (row_best > best)
-                    end_i[better] = i
-                    end_j[better] = masked[better].argmax(axis=1)
-                np.maximum(best, np.where(active, row_best, 0), out=best)
-        if keep:
-            # One compare per move, against the buffers the row was
-            # just built from.
-            np.equal(inner, diag, out=diag_ok[:, i, 1:])
-            np.equal(inner, up, out=up_ok[:, i, 1:])
+    for d in range(steps):
+        h2, h1, h = h1, h, h2
+        if d <= m_max:
+            h[0] = d * model.gap_d if kind == "global" else 0
+        if d <= n_max:
+            h[d] = 0 if local else d * model.gap_i
+        lo, hi = max(1, d - m_max), min(n_max, d - 1) + 1
+        if lo < hi:
+            L, k = hi - lo, m_max - d
+            cell, s, dg, u = h[lo:hi], sub[:L], diag[:L], up[:L]
+            if table is None:
+                np.equal(q[lo - 1:hi - 1], r[k + lo:k + hi], out=eq[:L])
+                np.multiply(eq[:L], delta, out=s)
+                np.add(s, mismatch, out=s)
+            else:
+                np.add(q[lo - 1:hi - 1], r[k + lo:k + hi], out=at[:L])
+                np.take(flat, at[:L], out=s)
+            np.add(h2[lo - 1:hi - 1], s, out=dg)
+            np.add(h1[lo - 1:hi - 1], gap_i, out=u)
+            np.add(h1[lo:hi], gap_d, out=cell)
+            np.maximum(cell, u, out=cell)
+            np.maximum(cell, dg, out=cell)
             if local:
-                np.equal(row, neg_offsets, out=planes[2, :, i, :])
-        capture(i, row)
-    final = best if local else out
-    return KeptMoves(batch, planes, final, end_i, end_j) if keep else final
+                np.maximum(cell, zeros[:L], out=cell)
+            if keep:
+                np.equal(cell, dg, out=views[0][lo:hi, d])
+                np.equal(cell, u, out=views[1][lo:hi, d])
+                if local:
+                    np.equal(cell, zeros[:L], out=views[2][lo:hi, d])
+            if local:
+                own = masked[:L]
+                np.minimum(cell, q_cap[lo:hi], out=own)
+                np.minimum(own, r_cap[k + lo:k + hi], out=own)
+                own.max(axis=0, out=seen[d])
+                if keep:
+                    np.equal(own, seen[d], out=hit[:L])
+                    np.multiply(hit[:L], rank[lo:hi], out=ranked[:L])
+                    ranked[:L].max(axis=0, out=ranks[d])
+        if not local and d in reads:
+            h.take(row_at, out=seen[d - reads.start])
+
+    if local:
+        # The first maximum in row-major order: the smallest i among the
+        # diagonals that reach the score, then the smallest d (so j).
+        scores = seen.max(axis=0)
+        ranks *= seen == scores
+        earliest = ranks.max(axis=0)
+        end_i = n_max + 1 - earliest.astype(np.int64)
+        end_j = (ranks == earliest).argmax(axis=0) - end_i
+    else:
+        # Lane b's row q_len is its own on diagonals first..last; argmax
+        # keeps the first maximum, the smallest j.
+        diagonal = np.arange(reads.start, reads.stop)[:, None]
+        window = (diagonal >= first) & (diagonal <= last)
+        ends = np.where(window, seen, np.iinfo(dtype).min).argmax(axis=0)
+        scores = seen[ends, np.arange(B)]
+        end_i, end_j = batch.q_len, ends + reads.start - batch.q_len
+    scores = scores.astype(np.int64)
+    if not keep:
+        return scores
+    return KeptMoves(batch, planes, scores, end_i, end_j)
 
 
 def walk_cells(pieces: list[PairBatch]) -> int:

@@ -222,7 +222,7 @@ class _Linear(Route):
             piece, run.config.model, run.batch.mode, keep=run.keep,
             force_wide=run.batch.wide_dtype)
         cells = int(np.sum(piece.q_len * piece.r_len))
-        # Traffic: sweep rows plus a byte per kept plane.
+        # Traffic: one sweep-dtype value per cell, a byte per kept plane.
         planes = len(swept.planes) if run.keep else 0
         return swept, cells, cells * (
             planes + self._dtype(run, piece).itemsize)

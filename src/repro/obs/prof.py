@@ -2,7 +2,7 @@
 
 The metrics registry answers *how much* happened; this module answers
 *where*. A :class:`Profiler` maintains a per-thread **phase stack**
-(``exec.vector -> bucket[512x512] -> linear.global[int32]``) and
+(``exec.vector -> bucket[512x512] -> linear.global[int16]``) and
 attributes four units to the innermost open phase:
 
 - ``wall_s``   -- host wall-clock self time of the phase,

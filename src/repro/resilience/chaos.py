@@ -353,15 +353,6 @@ def scoped(plan: ChaosPlan | None, attempt: int = 0,
         _LOCAL.reset(token)
 
 
-def active() -> ChaosPlan | None:
-    current = _LOCAL.get()
-    return current[0] if current else None
-
-
-def is_active() -> bool:
-    return _LOCAL.get() is not None
-
-
 def apply_to_results(pairs, results) -> None:
     """Engine-side hook: inject the active plan's faults, if any."""
     current = _LOCAL.get()

@@ -27,10 +27,14 @@ CIGARs, meta, failure reasons and raised errors are as recorded, and
 the fixed engines' cells and bytes sum as before -- except in
 ``bitparallel-violating``, which now raises its error before sweeping
 anything, the bucket it used to sweep first having merged into the
-violating pair's. ``tests/test_characterisation.py`` asserts the
-engine still reproduces it. ``tests/fixtures/xdrop_characterisation.json`` holds the per-pair
-records of those X-drop cases as the retired route answered them; the
-scalar ``XdropAligner``, the one X-drop path, must reproduce them.
+violating pair's. When the linear sweep moved to int16 lanes, only its
+``linear.*[int32]`` phase labels (now ``[int16]``) and the
+``bytes_moved`` figures priced by that dtype's width were re-recorded.
+``tests/test_characterisation.py`` asserts the engine still
+reproduces it. ``tests/fixtures/xdrop_characterisation.json`` holds
+the per-pair records of those X-drop cases as the retired route
+answered them; the scalar ``XdropAligner``, the one X-drop path, must
+reproduce them.
 Regenerate both (only for an intended behaviour change) with
 ``PYTHONPATH=src python -m tests.characterisation``.
 """

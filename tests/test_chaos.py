@@ -325,14 +325,28 @@ class TestChaosPlanUnit:
         assert plan.spec() == clone.spec()
 
     def test_scoped_activation_is_isolated(self):
-        plan = ChaosPlan(seed=1)
-        assert not chaos.is_active()
+        """The engine hook injects inside ``scoped(plan)`` only: nothing
+        before or after it, nothing inside a nested ``scoped(None)``,
+        and the plan is back once that nested scope exits."""
+        from repro.algorithms.base import AlignerResult, DPStats
+        plan = ChaosPlan(seed=1, bitflip=1.0, persistent_fraction=1.0)
+        pairs = [(np.array([0, 1, 2], dtype=np.uint8),
+                  np.array([0, 1, 3], dtype=np.uint8))]
+
+        def injected() -> bool:
+            results = [AlignerResult(alignment=None, score=0,
+                                     stats=DPStats(0, 0, 0))]
+            chaos.apply_to_results(pairs, results)
+            return results[0].score != 0
+
+        assert not injected()
         with chaos.scoped(plan):
-            assert chaos.active() is plan
+            assert injected()
             with chaos.scoped(None):
-                assert not chaos.is_active()
-            assert chaos.active() is plan
-        assert not chaos.is_active()
+                assert not injected()
+            assert injected()
+        assert not injected()
+        assert [event.cls for event in plan.fired] == ["bitflip"] * 2
 
 
 class TestChaosCli:

@@ -517,6 +517,23 @@ def test_banded_wide_dtype_matches_narrow(configs):
             _assert_identical(a, b, traceback)
 
 
+def test_linear_wide_dtype_matches_narrow(configs):
+    """``wide_dtype`` switches the linear sweep from int16 lanes to
+    int64 without changing any result, in every mode."""
+    config = configs["dna-gap"]
+    pairs = [(q, r) for _, q, r in corpus(config)]
+    assert kernels.linear_dtype(config.model, 128, 128) is np.int16
+    for mode in ("global", "semiglobal", "local"):
+        for traceback in (True, False):
+            batch = BatchConfig(engine="vector", mode=mode,
+                                traceback=traceback)
+            narrow = BatchEngine(config, batch).run(pairs)
+            wide = BatchEngine(config,
+                               replace(batch, wide_dtype=True)).run(pairs)
+            for a, b in zip(narrow, wide):
+                _assert_identical(a, b, (mode, traceback))
+
+
 # ---------------------------------------------------------------------
 # Edge cases: empty batches and zero-length sequences stay well-formed
 # ---------------------------------------------------------------------
