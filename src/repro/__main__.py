@@ -735,8 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-shard hang-detection timeout for "
                             "--resilient batches")
     align.add_argument("--max-retries", type=int, default=2,
-                       help="retries per failing shard/pair for "
-                            "--resilient batches (default: 2)")
+                       help="plain retries for every single failing "
+                            "pair of a --resilient batch before the "
+                            "degradation ladder (default: 2)")
     align.add_argument("--chaos", metavar="CLS=RATE[,..]", default=None,
                        help="inject seeded faults into --batch, e.g. "
                             "'crash=0.05,bitflip=0.1' (classes: crash, "

@@ -18,7 +18,8 @@ from __future__ import annotations
 from repro.algorithms.base import AlignerResult
 from repro.config import AlignmentConfig
 from repro.obs import Observability
-from repro.resilience.supervisor import ResilienceConfig, SupervisedEngine
+from repro.resilience.policy import ResilienceConfig
+from repro.resilience.supervisor import SupervisedEngine
 
 #: The plain engine's failure contract in supervisor terms.
 _STRICT = ResilienceConfig(max_retries=0, degrade=False, shed=False,

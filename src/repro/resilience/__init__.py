@@ -10,7 +10,7 @@ it.
 
 Import note: :mod:`repro.exec.engine` imports the (dependency-light)
 ``chaos`` and ``deadline`` modules from this package, while the
-supervisor and ladder import the engine back. The heavyweight names are
+supervisor and policy import the engine back. The heavyweight names are
 therefore exposed lazily (PEP 562) so the package can be imported from
 either direction without a cycle.
 """
@@ -27,12 +27,12 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.failures import FAULTS, BatchOutcome, PairFailure
 
 _LAZY = {
-    "ResilienceConfig": "repro.resilience.supervisor",
+    "ResilienceConfig": "repro.resilience.policy",
     "SupervisedEngine": "repro.resilience.supervisor",
     "run_batch": "repro.resilience.supervisor",
-    "HEURISTIC_ALGORITHMS": "repro.resilience.ladder",
-    "plan_rungs": "repro.resilience.ladder",
-    "exact_config": "repro.resilience.ladder",
+    "HEURISTIC_ALGORITHMS": "repro.resilience.policy",
+    "plan_rungs": "repro.resilience.policy",
+    "exact_config": "repro.resilience.policy",
     "Checkpoint": "repro.resilience.outcome_io",
 }
 

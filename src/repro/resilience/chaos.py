@@ -341,10 +341,10 @@ def scoped(plan: ChaosPlan | None, attempt: int = 0,
     """Context-local activation for one execution; ``None`` switches
     injection off (clean reference recomputes).
 
-    ``attempt`` is the supervisor's retry counter for the execution
-    (transient faults only fire at attempt 0); ``in_worker`` marks a
-    pool worker process, where an injected crash genuinely kills the
-    process.
+    ``attempt`` is the number of earlier executions that included
+    these pairs (transient faults only fire at attempt 0);
+    ``in_worker`` marks a pool worker process, where an injected crash
+    genuinely kills the process.
     """
     token = _LOCAL.set(None if plan is None else (plan, attempt, in_worker))
     try:

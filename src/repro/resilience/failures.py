@@ -31,7 +31,7 @@ class PairFailure:
             ``"Timeout"`` for hangs, ``"Validation"`` for corruption
             caught by result validation).
         message: Human-readable detail from the last attempt.
-        attempts: Executions that touched this pair and failed.
+        attempts: Executions that included this pair.
         rungs: Degradation-ladder rungs that were tried on the way down.
     """
 

@@ -155,7 +155,7 @@ class Checkpoint:
         pairs: Total pairs in the run the document describes.
         complete: True for a finished run (empty queue/remaining).
         queue: Supervisor recovery units still pending, as plain dicts
-            (``{"indices": [...], "attempt": n, "rung": ..., "rungs":
+            (``{"indices": [...], "attempt": n, "retries": k, "rungs":
             [...], "fault": ...}``) in FIFO order.
         remaining: Wave units not yet absorbed when the checkpoint was
             taken (pair-index lists, attempt 0).

@@ -25,7 +25,7 @@ on unit-cost pairs.
 
 ``tests/fixtures/supervisor_characterisation.json`` holds the record
 as taken before the supervisor's unit path was consolidated, except
-for two changes that consolidation made on purpose:
+for three changes made on purpose since:
 
 - a pair that fails validation (``bitflip``) counts one attempt per
   execution: its ``PairFailure.attempts``, the ``attempts`` of its
@@ -35,6 +35,15 @@ for two changes that consolidation made on purpose:
 - ``chaos-strict-raise`` raises at its first quarantine, so its events
   and counters stop there (same error type and pair; the message
   carries the corrected attempt count).
+- every single failing pair, including one bisected out of a larger
+  unit, now gets ``max_retries`` plain retries before its first rung
+  (before, a bisected pair arrived with its split depth as its retry
+  count and got none at the default ``max_retries=2``): each of the
+  five poison pairs in the chaos scenarios other than
+  ``chaos-no-retries`` and ``chaos-strict-raise`` runs twice more, so
+  ``retries`` rises by 10, ``faults.*`` by 2 per poison pair, and
+  every ``PairFailure.attempts`` by 2 (results and ``degraded`` are
+  unchanged).
 
 ``tests/test_supervisor_characterisation.py`` asserts the supervisor
 still reproduces it byte for byte. Regenerate (only for an intended

@@ -445,7 +445,7 @@ class TestTelemetry:
 
     def test_degradation_ladder_covers_bitparallel(self):
         from repro.exec import routes
-        from repro.resilience.ladder import plan_rungs
+        from repro.resilience.policy import plan_rungs
         assert routes.degrade_to("bitparallel") == "scalar"
         batch = BatchConfig(engine="bitparallel", traceback=False)
         rungs = plan_rungs(batch, "alignment")

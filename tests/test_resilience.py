@@ -10,6 +10,8 @@ infra-vs-computation error split.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from repro.resilience import (
     ResilienceConfig,
     SupervisedEngine,
 )
-from repro.resilience import ladder
+from repro.resilience import policy
 from tests.conftest import make_pair
 
 
@@ -254,7 +256,7 @@ class TestValidation:
 class TestLadder:
     def test_rangeerror_plans_wide_then_scalar(self):
         batch = BatchConfig(engine="vector")
-        rungs = ladder.plan_rungs(batch, "rangeerror")
+        rungs = policy.plan_rungs(batch, "rangeerror")
         names = [name for name, _ in rungs]
         assert names == ["wide-dtype", "scalar"]
         for _, cfg in rungs:
@@ -264,7 +266,7 @@ class TestLadder:
 
     def test_heuristic_alignment_fault_promotes_to_exact(self):
         batch = BatchConfig(algorithm="banded", band_width=4)
-        rungs = ladder.plan_rungs(batch, "alignment")
+        rungs = policy.plan_rungs(batch, "alignment")
         assert [name for name, _ in rungs] == ["exact"]
         assert rungs[0][1].algorithm == "full"
         assert rungs[0][1].engine == "scalar"
@@ -272,7 +274,7 @@ class TestLadder:
     def test_infra_faults_get_no_rungs(self):
         batch = BatchConfig(engine="vector")
         for fault in ("crash", "hang", "oserror", "deadline"):
-            assert ladder.plan_rungs(batch, fault) == []
+            assert policy.plan_rungs(batch, fault) == []
 
     def test_banded_failure_promoted_to_exact_result(self, configs, rng):
         """A pair the band excludes gets an exact answer under
@@ -297,6 +299,94 @@ class TestLadder:
         assert outcome.counters.get("degraded.exact") == 1
         # The easy pair keeps its (identical) banded result.
         assert outcome.results[0].score == plain[0].score
+
+
+class TestRetryBudget:
+    """``max_retries`` bounds every single pair's retries, however the
+    pair became single, and ``PairFailure.attempts`` counts the
+    executions that included the pair."""
+
+    POLICY = dict(backend="thread", max_unit_pairs=2)
+
+    @staticmethod
+    def _script(monkeypatch, pairs, poison, failures):
+        """``pairs[poison]`` raises ``OSError`` in its first ``failures``
+        executions; returns the list its executions are logged to."""
+        inline = BatchEngine._run_inline
+        key = pairs[poison][0].tobytes(), pairs[poison][1].tobytes()
+        runs: list[int] = []
+
+        def scripted(self, unit_pairs, deadline):
+            if any((q.tobytes(), r.tobytes()) == key
+                   for q, r in unit_pairs):
+                runs.append(len(unit_pairs))
+                if len(runs) <= failures:
+                    raise OSError("scripted fault")
+            return inline(self, unit_pairs, deadline)
+
+        monkeypatch.setattr(BatchEngine, "_run_inline", scripted)
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        return runs
+
+    def test_bisected_pair_is_retried(self, configs, rng, monkeypatch):
+        """A pair bisected out of its unit still gets plain retries: a
+        fault that clears after 3 executions is recovered."""
+        config = configs["dna-gap"]
+        pairs = _pairs(config, rng, count=8)
+        plain = BatchEngine(config, BatchConfig()).run(pairs)
+        runs = self._script(monkeypatch, pairs, 5, failures=3)
+        outcome = SupervisedEngine(config, BatchConfig(),
+                                   ResilienceConfig(**self.POLICY)).run(pairs)
+        assert outcome.ok
+        assert [r.score for r in outcome.results] == \
+               [r.score for r in plain]
+        # One whole-unit retry, one bisection, one retry of the pair.
+        assert outcome.counters["retries"] == 2
+        assert outcome.counters["bisections"] == 1
+        assert runs == [2, 2, 1, 1]
+
+    def test_quarantine_counts_every_execution(self, configs, rng,
+                                               monkeypatch):
+        config = configs["dna-gap"]
+        pairs = _pairs(config, rng, count=8)
+        runs = self._script(monkeypatch, pairs, 5, failures=5)
+        outcome = SupervisedEngine(config, BatchConfig(),
+                                   ResilienceConfig(**self.POLICY)).run(pairs)
+        (failure,) = outcome.failures
+        assert failure.index == 5 and failure.fault == "oserror"
+        assert failure.attempts == len(runs) == 5
+        assert outcome.counters["retries"] == 3
+
+    def test_deadline_cut_counts_the_running_execution(self, configs, rng,
+                                                       monkeypatch):
+        """A unit the deadline cuts off while it runs has executed once;
+        units that never started have not."""
+        config = configs["dna-gap"]
+        pairs = _pairs(config, rng, count=6)
+        release = threading.Event()
+        started: list[int] = []
+        inline = BatchEngine._run_inline
+
+        def stuck(self, unit_pairs, deadline):
+            started.append(len(unit_pairs))
+            release.wait(10.0)
+            return inline(self, unit_pairs, deadline)
+
+        monkeypatch.setattr(BatchEngine, "_run_inline", stuck)
+        try:
+            outcome = SupervisedEngine(
+                config, BatchConfig(),
+                ResilienceConfig(deadline_s=0.2, shed=False,
+                                 **self.POLICY)).run(pairs)
+        finally:
+            release.set()
+        assert started == [2]
+        assert sorted(failure.index for failure in outcome.failures) == \
+            list(range(6))
+        assert {failure.fault for failure in outcome.failures} == \
+            {"deadline"}
+        assert sorted(failure.attempts for failure in outcome.failures) \
+            == [0, 0, 0, 0, 1, 1]
 
 
 class TestBatchOutcome:

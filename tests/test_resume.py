@@ -155,6 +155,48 @@ class TestKillResumeDeterminism:
         assert len(kills) == 1
 
 
+class TestOldCheckpoint:
+    def test_resumes_queue_units_without_retries(self, config, pairs,
+                                                 tmp_path, monkeypatch):
+        """A checkpoint written before units carried ``retries`` (queue
+        units name their ``rung`` instead) resumes: the rung is the
+        last of ``rungs`` and ``retries`` starts at 0."""
+        import json
+
+        from repro.exec.engine import BatchEngine
+        from repro.resilience.policy import Unit
+
+        old_unit = {"indices": [0], "attempt": 3, "rung": "scalar",
+                    "rungs": ["scalar"], "fault": "error"}
+        assert SupervisedEngine._unit_from_doc(old_unit) == Unit(
+            [0], attempt=3, retries=0, rungs=("scalar",), fault="error")
+        document = {
+            "schema": "smx-outcome/1", "pairs": PAIRS, "complete": False,
+            "completed": 0, "results": {}, "failures": [], "counters": {},
+            "degraded": {},
+            "queue": [old_unit, {"indices": [1, 2], "attempt": 2,
+                                 "rung": None, "rungs": [],
+                                 "fault": "oserror"}],
+            "remaining": [list(range(3, PAIRS))],
+            "pairs_digest": outcome_io.pairs_digest(pairs)}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
+        plain = [r.score for r in _engine(config).run(pairs).results]
+        engines = []
+        inline = BatchEngine._run_inline
+
+        def logged(self, unit_pairs, deadline):
+            if any(q is pairs[0][0] for q, _ in unit_pairs):
+                engines.append(self.batch.engine)
+            return inline(self, unit_pairs, deadline)
+
+        monkeypatch.setattr(BatchEngine, "_run_inline", logged)
+        resumed = _engine(config).run(pairs, resume=str(path))
+        assert engines == ["scalar"]
+        assert [r.score for r in resumed.results] == plain
+        assert resumed.degraded == {0: ("scalar",)}
+
+
 class TestResumeValidation:
     def test_pair_count_mismatch_rejected(self, config, pairs,
                                           tmp_path):

@@ -24,7 +24,7 @@ from repro.config import standard_configs
 from repro.errors import ConfigurationError
 from repro.exec import routes
 from repro.exec.engine import BatchConfig, BatchEngine
-from repro.resilience.ladder import plan_rungs
+from repro.resilience.policy import plan_rungs
 from repro.service import JobSpec
 from repro.service.protocol import job_from_dict, job_to_dict
 from tests.characterisation import seam_corpus
