@@ -10,7 +10,10 @@ retries, bisections, degradation rungs and wall clock.
 
 Everything is keyed on a fixed seed and pair *content*, so the sweep is
 exactly reproducible: re-running it must produce the identical table
-(``results/chaos_sweep.{md,json}``). The sweep itself doubles as an
+(``results/chaos_sweep.md``). Wall clock is not reproducible, so each
+cell's overhead against a fault-free supervised run goes only to the
+JSON sibling and to stdout, never into the table. The sweep itself
+doubles as an
 end-to-end check -- each cell asserts that the quarantine set equals
 the injector's persistent ground truth and that every untouched pair's
 score matches the fault-free baseline.
@@ -104,15 +107,15 @@ def experiment(scale: float):
     for cls in ("oserror", "crash", "rangeerror", "bitflip", "hang"):
         for rate in RATES:
             cells.append(_sweep_cell(config, pairs, baseline, cls, rate))
+    for cell in cells:
+        cell["overhead"] = cell["elapsed_s"] / clean_s
     rows = [[c["class"], f"{c['rate']:.2f}", c["poisoned"],
              c["recovered"], c["quarantined"], c["injections"],
-             c["retries"], c["bisections"], c["degraded"],
-             f"{c['elapsed_s'] / clean_s:.1f}x"]
+             c["retries"], c["bisections"], c["degraded"]]
             for c in cells]
     sections = [format_table(
         ["fault", "rate", "poisoned", "recovered", "quarantined",
-         "injections", "retries", "bisections", "degraded",
-         "overhead"],
+         "injections", "retries", "bisections", "degraded"],
         rows,
         title=f"Chaos sweep -- supervised recovery on {n_pairs} pairs "
               f"(seed {SEED:#x})")]
@@ -123,8 +126,8 @@ def experiment(scale: float):
         "(pair, class) combos across the sweep were transient and "
         "recovered to bit-identical results; every persistent one was "
         "quarantined as a typed PairFailure -- zero silent corruption, "
-        "zero lost pairs. Overhead is wall clock relative to a "
-        f"fault-free supervised run ({clean_s * 1e3:.0f} ms).")
+        "zero lost pairs. Wall-clock overhead per cell is in the JSON "
+        "sibling and on stdout.")
     payload = {
         "params": {"pairs": n_pairs, "length": LENGTH, "seed": SEED,
                    "rates": list(RATES), "clean_elapsed_s": clean_s},
@@ -133,9 +136,16 @@ def experiment(scale: float):
     return "chaos_sweep", sections, payload
 
 
-def test_chaos_sweep(run_experiment, scale):
+def test_chaos_sweep(run_experiment, scale, capsys):
     result = run_experiment(experiment, scale)
     cells = result[2]["tables"]["sweep"]
+    with capsys.disabled():
+        clean_s = result[2]["params"]["clean_elapsed_s"]
+        print(f"Wall-clock overhead against a fault-free supervised run "
+              f"({clean_s * 1e3:.0f} ms):")
+        for cell in cells:
+            print(f"  {cell['class']:<10} {cell['rate']:.2f} "
+                  f"{cell['overhead']:.1f}x")
     # Every poisoned pair is either recovered or quarantined -- the
     # sweep's cell assertions already checked exactness per class.
     for cell in cells:

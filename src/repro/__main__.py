@@ -169,8 +169,7 @@ def cmd_align_batch(args: argparse.Namespace) -> int:
     ctx = _obs_context(args)
     try:
         pairs = _read_pair_file(args.batch)
-        encoded = [(config.encode(q), config.encode(r))
-                   for q, r in pairs]
+        encoded = config.encode_pairs(pairs)
     except (OSError, ValueError, EncodingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

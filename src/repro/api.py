@@ -195,7 +195,7 @@ def align_batch(pairs, preset: str | AlignmentConfig = "dna",
     """
     config = _resolve(preset)
     cfg = _batch_config(batch, mode, engine, workers, traceback=True)
-    encoded = [(config.encode(q), config.encode(r)) for q, r in pairs]
+    encoded = config.encode_pairs(pairs)
     return run_batch(config, cfg, encoded, resilience,
                      deadline_s).alignments()
 
@@ -216,7 +216,7 @@ def score_batch(pairs, preset: str | AlignmentConfig = "dna",
     """
     config = _resolve(preset)
     cfg = _batch_config(batch, mode, engine, workers, traceback=False)
-    encoded = [(config.encode(q), config.encode(r)) for q, r in pairs]
+    encoded = config.encode_pairs(pairs)
     return run_batch(config, cfg, encoded, resilience,
                      deadline_s).scores()
 

@@ -86,6 +86,13 @@ class AlignmentConfig:
         """Shortcut for ``config.alphabet.encode``."""
         return self.alphabet.encode(sequence)
 
+    def encode_pairs(self, pairs) -> list:
+        """String pairs as code-array pairs through one
+        :meth:`~repro.encoding.alphabet.Alphabet.encode_many` call."""
+        codes = self.alphabet.encode_many(
+            side for query, reference in pairs for side in (query, reference))
+        return list(zip(codes[0::2], codes[1::2]))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"AlignmentConfig({self.name!r}, ew={self.ew}, vl={self.vl}, "
                 f"theta={self.model.theta})")

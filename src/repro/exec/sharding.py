@@ -2,11 +2,12 @@
 
 ``BatchEngine(workers=N)`` runs :func:`run_sharded`: one strict call
 into the supervisor's process pool, one contiguous shard per worker,
-results in submission order and identical to an inline run. The strict
-policy keeps the plain engine's contract: a pool that cannot start runs
-on threads and a dead worker re-runs only unfinished shards; heuristic
-"no result" outcomes stay failed (no exact-aligner promotion) and no
-pair is shed up front; a computation error raises
+results in submission order and identical to an inline run (shards
+travel as the supervisor's columns: codes out, result arrays back). The
+strict policy keeps the plain engine's contract: a pool that cannot
+start runs on threads and a dead worker re-runs only unfinished shards;
+heuristic "no result" outcomes stay failed (no exact-aligner promotion)
+and no pair is shed up front; a computation error raises
 :class:`~repro.errors.PoisonPairError` as soon as bisection isolates
 the first failing pair (submission index, fault, original error type)
 and a missed ``deadline_s`` raises

@@ -27,12 +27,13 @@ Two backends: worker *processes* (``batch.workers > 1``; an injected
 crash genuinely kills a worker and surfaces as ``BrokenProcessPool``)
 or worker *threads* (single-worker batches, restricted sandboxes, or
 ``backend="thread"``; deterministic, with crashes modelled as raised
-:class:`~repro.resilience.chaos.InjectedCrash`). Hang detection needs a
-``shard_timeout_s`` (or deadline). After a timeout or pool break the
-tainted executor is replaced so stuck workers cannot starve later
-recovery work. Every fault, retry, bisection, ladder rung, and
-quarantine is counted both in ``repro.obs`` metrics (``resilience.*``)
-and in the outcome's ``counters`` dict.
+:class:`~repro.resilience.chaos.InjectedCrash`). A unit crosses the
+process boundary as columns (:func:`pack_pairs` out, :func:`pack_results`
+back). Hang detection needs a ``shard_timeout_s`` (or deadline). After a
+timeout or pool break the tainted executor is replaced so stuck workers
+cannot starve later recovery work. Every fault, retry, bisection, ladder
+rung, and quarantine is counted both in ``repro.obs`` metrics
+(``resilience.*``) and in the outcome's ``counters`` dict.
 
 Crash safety: with a ``checkpoint_path``, :meth:`SupervisedEngine.run`
 keeps an ``smx-outcome/1`` checkpoint as a base document plus a journal
@@ -61,7 +62,9 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import asdict, replace
 
-from repro.algorithms.base import AlignerResult
+import numpy as np
+
+from repro.algorithms.base import AlignerResult, DPStats
 from repro.config import AlignmentConfig
 from repro.errors import (
     AlignmentError,
@@ -92,22 +95,73 @@ log = get_logger("resilience")
 SHED_SAFETY = 1.5
 
 
-def _pool_worker(config: AlignmentConfig, batch: BatchConfig, pairs,
-                 plan, attempt: int, collect: bool = False, trace=None):
+def _pool_worker(config: AlignmentConfig, batch: BatchConfig, codes,
+                 lengths, plan, attempt: int, collect: bool = False,
+                 trace=None):
     """Run one unit inside a worker process (module-level: pickles).
 
-    Returns ``(results, fired, state)``: the worker's injection log and,
-    when ``collect``, its metric/profile snapshot, both merged into the
-    parent; a ``trace`` context stitches the worker's spans onto the
+    The pairs arrive as :func:`pack_pairs` columns, rebuilt here into
+    views. Returns ``(columns, fired, state)``: the :func:`pack_results`
+    columns of the results (after chaos acted on them), the injection
+    log and, when ``collect``, the metric/profile snapshot, both merged
+    into the parent; ``trace`` stitches the worker's spans onto the
     parent timeline.
     """
     from repro.exec.engine import BatchEngine as Engine
     worker_obs = Observability.collector(trace=trace) if collect else None
     with chaos.scoped(plan, attempt, in_worker=True):
-        results = Engine(config, batch, obs=worker_obs).run(pairs)
-    return (results,
+        results = Engine(config, batch, obs=worker_obs).run(
+            unpack_pairs(codes, lengths))
+    return (pack_results(results),
             list(plan.fired) if plan is not None else [],
             worker_obs.export_state() if worker_obs is not None else None)
+
+
+def pack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """A unit's pairs as one ``uint8`` code buffer (``q0, r0, q1, ...``)
+    plus ``int64`` side lengths: one buffer pickles at memcpy speed."""
+    sides = [side for pair in pairs for side in pair]
+    return (np.concatenate([np.empty(0, np.uint8), *sides]),
+            np.array([len(side) for side in sides], dtype=np.int64))
+
+
+def unpack_pairs(codes: np.ndarray, lengths: np.ndarray) -> list:
+    """Inverse of :func:`pack_pairs`: the pairs as views of ``codes``."""
+    ends = [0, *itertools.accumulate(lengths.tolist())]
+    sides = [codes[start:stop] for start, stop in zip(ends, ends[1:])]
+    return list(zip(sides[0::2], sides[1::2]))
+
+
+def pack_results(results: list[AlignerResult]) -> tuple:
+    """A unit's results as columns: ``int64`` scores, their ``None``
+    mask, ``(n, 3)`` :class:`DPStats`, ``failed`` flags, and by position,
+    only where set, ``(alignment, failure_reason, meta)``."""
+    scores = [result.score for result in results]
+    stats = [(result.stats.cells_computed, result.stats.cells_stored,
+              result.stats.blocks) for result in results]
+    extras = {local: (result.alignment, result.failure_reason, result.meta)
+              for local, result in enumerate(results)
+              if result.alignment is not None or result.failure_reason
+              or result.meta}
+    return (np.array([score or 0 for score in scores], dtype=np.int64),
+            np.array([score is None for score in scores], dtype=bool),
+            np.array(stats, dtype=np.int64).reshape(len(results), 3),
+            np.array([result.failed for result in results], dtype=bool),
+            extras)
+
+
+def unpack_results(columns: tuple) -> list[AlignerResult]:
+    """Inverse of :func:`pack_results`."""
+    scores, missing, stats, failed, extras = columns
+    results = []
+    for local, (score, none, (cells, stored, blocks), gave_up) in \
+            enumerate(zip(scores.tolist(), missing.tolist(),
+                          stats.tolist(), failed.tolist())):
+        alignment, reason, meta = extras.get(local, (None, "", {}))
+        results.append(AlignerResult(
+            alignment, None if none else score,
+            DPStats(cells, stored, blocks), gave_up, reason, meta))
+    return results
 
 
 class SupervisedEngine:
@@ -204,8 +258,8 @@ class SupervisedEngine:
             label = (f"u{min(unit.indices)}-{max(unit.indices)}"
                      f".a{unit.attempt}")
             return pool.submit(_pool_worker, self.config,
-                               self._unit_config(unit), pairs, self.plan,
-                               unit.attempt, self.obs.collecting,
+                               self._unit_config(unit), *pack_pairs(pairs),
+                               self.plan, unit.attempt, self.obs.collecting,
                                child_context(self.obs.tracer, self.run_id,
                                              label,
                                              parent_span="resilience.run"))
@@ -266,6 +320,8 @@ class SupervisedEngine:
         except Exception as exc:  # noqa: BLE001 - classified by the policy
             self._failed(queue, outcome, unit, exc, deadline)
             return None
+        if isinstance(results, tuple):  # a pool worker's columns
+            results = unpack_results(results)
         if fired and self.plan is not None:
             # Pool workers run on an unpickled plan copy: merge their
             # injection log back into the supervisor-side ground truth.

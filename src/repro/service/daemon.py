@@ -301,8 +301,7 @@ class AlignmentDaemon:
         self._gauge_depth()
         try:
             config = standard_configs()[job.config]
-            encoded = [(config.encode(query), config.encode(reference))
-                       for query, reference in job.pairs]
+            encoded = config.encode_pairs(job.pairs)
             batch = BatchConfig(engine=job.engine, mode=job.mode,
                                 traceback=job.traceback,
                                 workers=job.workers)

@@ -510,7 +510,8 @@ class TestShardingFailureSplit:
                 pools.append(self)
 
             def submit(self, fn, *args):
-                shard = shard_of(args[2])
+                # A unit crosses the boundary as (codes, lengths).
+                shard = shard_of(supervisor.unpack_pairs(*args[2:4]))
 
                 def work():
                     ran.append((self.number, shard))
