@@ -19,6 +19,11 @@ from repro.scoring.model import ScoringModel
 DIAG, UP, LEFT = 0, 1, 2
 
 
+def no_predecessor(i: int, j: int) -> str:
+    """Why a walk stopped at ``(i, j)``: no predecessor reproduces it."""
+    return f"no valid predecessor at ({i}, {j}); matrix is inconsistent"
+
+
 def traceback_full(matrix: np.ndarray, q_codes: np.ndarray,
                    r_codes: np.ndarray, model: ScoringModel,
                    ) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
@@ -52,68 +57,7 @@ def traceback_full(matrix: np.ndarray, q_codes: np.ndarray,
             ops.append("D")
             j -= 1
         else:
-            raise AlignmentError(
-                f"no valid predecessor at ({i}, {j}); matrix is inconsistent"
-            )
-        path.append((i, j))
-    ops.reverse()
-    path.reverse()
-    return compress_ops(ops), path
-
-
-def traceback_banded(rows: np.ndarray, start: np.ndarray,
-                     q_codes: np.ndarray, r_codes: np.ndarray,
-                     model: ScoringModel,
-                     ) -> tuple[list[tuple[int, str]], list[tuple[int, int]]]:
-    """:func:`traceback_full` over compact band storage.
-
-    ``rows[i, k]`` holds ``M[i][start[i] + k]``; a column outside
-    ``[start[i], start[i] + W)`` was never computed and reads as
-    unreachable (half the storage dtype's minimum, which no reachable
-    score derives from). Same tie priority, same ``(cigar, path)``,
-    same "no valid predecessor" error as the full-matrix walk over the
-    equivalent ``NEG_INF``-filled matrix.
-    """
-    i, j = len(q_codes), len(r_codes)
-    width = rows.shape[1]
-    if rows.shape[0] <= i or len(start) <= i:
-        raise AlignmentError(
-            f"band storage of {rows.shape[0]} rows does not cover "
-            f"{i + 1} query rows")
-    neg = int(np.iinfo(rows.dtype).min) // 2
-    starts = start.tolist()
-    q, r = np.asarray(q_codes).tolist(), np.asarray(r_codes).tolist()
-    cell, substitution = rows.item, model.substitution
-    gap_i, gap_d = model.gap_i, model.gap_d
-
-    k = j - starts[i]
-    here = cell(i, k) if 0 <= k < width else neg
-    ops: list[str] = []
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i > 0:
-            k = j - starts[i - 1]
-            if j > 0:
-                diag = cell(i - 1, k - 1) if 0 < k <= width else neg
-                if here == diag + substitution(q[i - 1], r[j - 1]):
-                    ops.append("=" if q[i - 1] == r[j - 1] else "X")
-                    i, j, here = i - 1, j - 1, diag
-                    path.append((i, j))
-                    continue
-            up = cell(i - 1, k) if 0 <= k < width else neg
-        if i > 0 and here == up + gap_i:
-            ops.append("I")
-            i, here = i - 1, up
-        else:
-            k = j - 1 - starts[i]
-            left = cell(i, k) if 0 <= k < width else neg
-            if j > 0 and here == left + gap_d:
-                ops.append("D")
-                j, here = j - 1, left
-            else:
-                raise AlignmentError(
-                    f"no valid predecessor at ({i}, {j}); matrix is "
-                    "inconsistent")
+            raise AlignmentError(no_predecessor(i, j))
         path.append((i, j))
     ops.reverse()
     path.reverse()
@@ -125,8 +69,9 @@ def traceback_banded(rows: np.ndarray, start: np.ndarray,
 _STEP_OPS = np.array([" ", "=", "X", "I", "D"])
 
 
-def walk_moves(buckets, kind: str,
-               ) -> tuple[list[list[tuple[int, str]]], list[int], list[int]]:
+def walk_moves(kept, kind: str,
+               ) -> tuple[list[list[tuple[int, str]] | None], list[int],
+                          list[int]]:
     """Walk the kept move planes of a group of buckets in lock step.
 
     Every pair is a *lane*; one step gathers each live lane's move bits
@@ -138,68 +83,89 @@ def walk_moves(buckets, kind: str,
     from, without the scores.
 
     Args:
-        buckets: Per bucket ``(planes, end_i, end_j, q, r)``: the
-            ``(P, n+1, m+1, B)`` bool planes ``[diag_ok, up_ok]``, lanes
-            innermost (plus the ``H == 0`` stop plane of a ``local``
-            sweep), the ``(B,)`` cells the walks start from, and the
-            padded ``(B, n)`` / ``(B, m)`` code arrays.
+        kept: Per bucket its :class:`repro.exec.kernels.KeptMoves`: the
+            ``(P, cells, B)`` bool planes ``[diag_ok, up_ok]`` (plus the
+            ``H == 0`` stop plane of a ``local`` sweep), lanes innermost,
+            cell ``(i, j)`` at row ``offsets[i + j] + i``; the ``(B,)``
+            cells the walks start from; the bucket's padded codes; and,
+            for a band (all buckets of a group or none), its first
+            in-band column per row.
         kind: ``"global"`` walks to ``(0, 0)``, ``"semiglobal"`` to row
             0, ``"local"`` to the first cell whose stop bit is set.
 
     Returns:
         ``(cigars, start_i, start_j)``, one entry per lane in bucket
         order: the run-length encoded path and the cell it stopped at.
-        The walk keeps ``steps x lanes`` bytes of history per plane,
-        ``steps`` being the largest ``end_i + end_j``.
+        A lane whose walk leaves its band gets ``None`` and the cell it
+        left from, where :func:`traceback_full` over the band's
+        ``NEG_INF``-masked matrix finds no valid predecessor; that is
+        read off the walk's ``steps x lanes`` history once every lane
+        is done. A lane that has stopped keeps moving on bits that no
+        longer count; the walk keeps ``steps x lanes`` bytes of history
+        per plane, ``steps`` being the largest ``end_i + end_j``.
     """
-    base, row_pitch, lane_pitch, q_at, r_at = [], [], [], [], []
-    cells = q_cells = r_cells = 0
-    for planes, _, _, q, r in buckets:
-        _, rows, cols, size = planes.shape
+    table, base, pitch, row, lane_at, q_at, r_at, lo_at = \
+        [], [], [], [], [], [], [], []
+    cells = diagonals = q_cells = r_cells = lo_cells = 0
+    for k in kept:
+        _, height, size = k.planes.shape
         lane = np.arange(size, dtype=np.int64)
-        base.append(cells + lane)
-        row_pitch.append(np.full(size, cols * size, dtype=np.int64))
-        lane_pitch.append(np.full(size, size, dtype=np.int64))
-        q_at.append(q_cells + lane * q.shape[1])
-        r_at.append(r_cells + lane * r.shape[1])
-        cells += size * rows * cols
-        q_cells += q.size
-        r_cells += r.size
-    depth = buckets[0][0].shape[0]
-    flat = buckets[0][0].reshape(depth, -1) if len(buckets) == 1 else \
-        np.concatenate([b[0].reshape(depth, -1) for b in buckets], axis=1)
+        # Cell (i, d - i) of lane b: table[base + d] + i * size + b.
+        table.append(k.offsets * size + cells)
+        base.append(np.full(size, diagonals, dtype=np.int64))
+        pitch.append(np.full(size, size, dtype=np.int64))
+        row.append(k.end_i * size + lane)
+        lane_at.append(lane)
+        q_at.append(q_cells + lane * k.batch.q.shape[1])
+        r_at.append(r_cells + lane * k.batch.r.shape[1])
+        if k.band_lo is not None:
+            lo_at.append(lo_cells + lane * k.band_lo.shape[1])
+            lo_cells += k.band_lo.size
+        cells += height * size
+        diagonals += len(k.offsets)
+        q_cells += k.batch.q.size
+        r_cells += k.batch.r.size
+    depth = kept[0].planes.shape[0]
+    flat = kept[0].planes.reshape(depth, -1) if len(kept) == 1 else \
+        np.concatenate([k.planes.reshape(depth, -1) for k in kept], axis=1)
+    table = np.concatenate(table)
     # One spare symbol keeps the clipped look-ups legal for empty codes.
     spare = [np.zeros(1, dtype=np.uint8)]
-    q_flat = np.concatenate([b[3].ravel() for b in buckets] + spare)
-    r_flat = np.concatenate([b[4].ravel() for b in buckets] + spare)
-    end_i = np.concatenate([b[1] for b in buckets])
-    end_j = np.concatenate([b[2] for b in buckets])
+    q_flat = np.concatenate([k.batch.q.ravel() for k in kept] + spare)
+    r_flat = np.concatenate([k.batch.r.ravel() for k in kept] + spare)
+    end_i = np.concatenate([k.end_i for k in kept])
+    end_j = np.concatenate([k.end_j for k in kept])
     # Longest possible walk first, so finished lanes are shed from the
     # tail by shortening views; every step leaves a row or a column.
     order = np.argsort(-(end_i + end_j), kind="stable")
     end_i, end_j = end_i[order], end_j[order]
     base = np.concatenate(base)[order]
-    row_pitch = np.concatenate(row_pitch)[order]
-    lane_pitch = np.concatenate(lane_pitch)[order]
+    pitch = np.concatenate(pitch)[order]
+    row = np.concatenate(row)[order]
+    lane_at = np.concatenate(lane_at)[order]
     q_at, r_at = np.concatenate(q_at)[order], np.concatenate(r_at)[order]
-    floor = base + (row_pitch - lane_pitch) * (kind == "semiglobal")
-    pos = base + end_i * row_pitch + end_j * lane_pitch
+    diagonal = base + end_i + end_j
+    pos = table[diagonal] + row
+    # A global walk stops on diagonal 0, a semiglobal one on row 0.
+    floor = lane_at if kind == "semiglobal" else base
     lanes = len(base)
     steps = int((end_i + end_j).max(initial=0)) + 1
     bits = np.zeros((steps, depth, lanes), dtype=bool)
     alive = np.zeros((steps, lanes), dtype=bool)
-    rolling = (pos, floor, row_pitch, lane_pitch, np.empty(lanes, dtype=bool),
-               np.empty(lanes, dtype=bool), np.empty(lanes, dtype=np.int64),
-               np.empty(lanes, dtype=np.int64))
+    rolling = (pos, diagonal, row, floor, pitch, np.empty(lanes, dtype=bool),
+               np.empty(lanes, dtype=bool), np.empty(lanes, dtype=np.int64))
     width, step = lanes, 0
     while True:
-        at, stop, pitch, lane_step, down, left, jump, across = rolling
+        at, diag_at, row_at, stop, row_step, down, left, jump = rolling
         got, live = bits[step, :, :width], alive[step, :width]
-        np.take(flat, at, axis=1, out=got, mode="clip")
+        flat.take(at, axis=1, out=got, mode="clip")
         if kind == "local":
             np.logical_not(got[2], out=live)
+            if step:
+                np.logical_and(live, alive[step - 1, :width], out=live)
         else:
-            np.greater(at, stop, out=live)
+            np.greater(row_at if kind == "semiglobal" else diag_at, stop,
+                       out=live)
         if not live[-1]:
             width = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
             if not width:
@@ -209,22 +175,21 @@ def walk_moves(buckets, kind: str,
         # diagonal: row and column; up: the row; left: the column.
         np.logical_or(got[0], got[1], out=down)
         np.greater_equal(got[0], got[1], out=left)
-        np.multiply(down, pitch, out=jump)
-        np.multiply(left, lane_step, out=across)
-        np.add(jump, across, out=jump)
-        np.multiply(jump, live, out=jump)       # a finished lane stays
-        np.subtract(at, jump, out=at)
+        np.subtract(diag_at, down, out=diag_at)
+        np.subtract(diag_at, left, out=diag_at)
+        np.multiply(down, row_step, out=jump)
+        np.subtract(row_at, jump, out=row_at)
+        table.take(diag_at, out=at, mode="clip")
+        np.add(at, row_at, out=at)
         step += 1
-    # The rest is whole-group array work on the (step, lanes) history.
+    # The rest is whole-group array work on the (step, lanes) history:
+    # the cell each lane stood on after each step it took.
     alive, diag, up = alive[:step], bits[:step, 0], bits[:step, 1]
-
-    def consumed(symbols, last, moved):
-        """The symbol each step's move consumed, were it diagonal."""
-        return symbols.take(last - np.cumsum(moved & alive, axis=0),
-                            mode="clip")
-
-    same = consumed(q_flat, q_at + end_i, diag | up) \
-        == consumed(r_flat, r_at + end_j, diag >= up)
+    down, across = (diag | up) & alive, (diag >= up) & alive
+    rows = np.subtract(end_i, np.cumsum(down, axis=0, dtype=np.int32))
+    cols = np.subtract(end_j, np.cumsum(across, axis=0, dtype=np.int32))
+    same = q_flat.take(q_at + rows, mode="clip") \
+        == r_flat.take(r_at + cols, mode="clip")
     codes = np.where(diag, np.subtract(2, same, dtype=np.uint8),
                      np.subtract(4, up, dtype=np.uint8))
     codes *= alive
@@ -235,17 +200,28 @@ def walk_moves(buckets, kind: str,
     padded = padded.ravel()
     edges = np.flatnonzero(np.not_equal(padded[1:], padded[:-1])) + 1
     counts = np.diff(edges, append=padded.size)
-    kept = padded[edges] != 0
-    edges, counts = edges[kept], counts[kept]
+    kept_runs = padded[edges] != 0
+    edges, counts = edges[kept_runs], counts[kept_runs]
     runs = list(zip(counts.tolist(), _STEP_OPS[padded[edges]].tolist()))
     stops = np.cumsum(np.bincount(edges // (step + 1),
                                   minlength=lanes)).tolist()
     starts = [0] + stops
+    cigars = [runs[starts[k]:stops[k]] for k in range(lanes)]
+    start_i, start_j = end_i - down.sum(axis=0), end_j - across.sum(axis=0)
+    if lo_at:
+        # Only a left move leaves a band: into a column below its row's
+        # lo, the scalar's masked cell, whose left check fails.
+        lo_flat = np.concatenate([k.band_lo.ravel() for k in kept])
+        lo_at = np.concatenate(lo_at)[order]
+        out = alive & (cols < lo_flat.take(lo_at + rows, mode="clip"))
+        for lane in np.flatnonzero(out.any(axis=0)).tolist():
+            t = int(out[:, lane].argmax())
+            cigars[lane] = None
+            start_i[lane] = rows[t, lane] + down[t, lane]
+            start_j[lane] = cols[t, lane] + across[t, lane]
     undo = np.argsort(order)
-    start_i, start_j = np.divmod((pos - base) // lane_pitch,
-                                 row_pitch // lane_pitch)
-    return ([runs[starts[k]:stops[k]] for k in undo.tolist()],
-            start_i[undo].tolist(), start_j[undo].tolist())
+    return ([cigars[k] for k in undo.tolist()], start_i[undo].tolist(),
+            start_j[undo].tolist())
 
 
 def alignment_from_matrix(matrix: np.ndarray, q_codes: np.ndarray,

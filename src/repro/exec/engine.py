@@ -411,11 +411,12 @@ class BatchEngine:
                     # A full slice of kept moves is walked on its own,
                     # which spares the walk merging planes; slices kept
                     # only while they are settled are balanced instead.
-                    pieces = self._pieces(bucket, route.resident(run, bucket),
+                    per_pair = route.resident(run, bucket)
+                    pieces = self._pieces(bucket, per_pair,
                                           even=route.walk is None)
                 for piece in pieces:
                     if run.kept and kernels.walk_cells(
-                            [piece] + [k.batch for k in run.kept]) \
+                            run.kept, piece, per_pair) \
                             > batch.max_batch_cells:
                         route.walk(run)
                     with profiler.phase(route.phase(run, piece)):

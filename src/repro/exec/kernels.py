@@ -5,10 +5,12 @@ counterpart in ``repro.algorithms`` -- same ``NEG_INF`` sentinel, in
 int64 or a narrower dtype proven safe for the bucket -- but over a
 whole :class:`~repro.exec.buckets.PairBatch` at once, the batching
 axis playing the role the anti-diagonal lanes play in Scrooge/KSW2.
-The linear sweep advances one *anti-diagonal* of every pair per step,
-a handful of element-wise ops on ``(diag, B)`` lanes with no scan
-(SMX-1D's schedule); the affine and banded sweeps advance one DP row
-per step with the scalar aligners' prefix-scan row trick. Because
+The linear and banded sweeps share one body that advances one
+*anti-diagonal* of every pair per step, a handful of element-wise ops
+on ``(diag, B)`` lanes with no scan (SMX-1D's schedule); a band is
+each diagonal's window of rows, masked at its edges. The affine sweep
+advances one DP row per step with the scalar aligner's prefix-scan
+row trick. Because
 integer max/add is exact, the results are bit-identical to the scalar
 algorithms; the conformance suite (``tests/test_conformance.py``)
 locks both to the brute-force oracle.
@@ -19,12 +21,13 @@ Kernels come in two shapes:
   captured the moment the sweep passes its true ``(q_len, r_len)``
   extent;
 - ``keep=True`` (alignment mode): the state a traceback reads, for
-  callers that chunk the batch to bound memory. The linear sweep keeps
-  *moves*, not scores -- one byte per cell and plane saying which
-  predecessor reproduces ``H[i][j]`` (:class:`KeptMoves`, walked by
-  :func:`repro.dp.traceback.walk_moves`); the banded sweep keeps only
-  its corridor (:class:`KeptBand`); the affine sweep still keeps full
-  ``(B, n+1, m+1)`` int64 score matrices.
+  callers that chunk the batch to bound memory. The linear and banded
+  sweeps keep *moves*, not scores -- one byte per cell and plane saying
+  which predecessor reproduces ``H[i][j]`` -- over the rows each
+  diagonal computed: the rectangle, or the lanes' corridors
+  (:class:`KeptMoves`, walked by :func:`repro.dp.traceback.walk_moves`);
+  the affine sweep still keeps full ``(B, n+1, m+1)`` int64 score
+  matrices.
 
 Padding never leaks into a result: DP dependencies only flow
 right/down, so a pair's cells never read its padding, and kernels read
@@ -67,7 +70,7 @@ def _score_table(model: ScoringModel) -> np.ndarray | None:
 
 
 # ----------------------------------------------------------------------
-# Linear-gap kernels: global / semiglobal / local
+# Linear-gap kernels: global / semiglobal / local, and banded global
 # ----------------------------------------------------------------------
 
 def _max_abs_term(model: ScoringModel, table: np.ndarray | None) -> int:
@@ -80,8 +83,8 @@ def _max_abs_term(model: ScoringModel, table: np.ndarray | None) -> int:
 
 
 def _linear_dtype(model: ScoringModel, table: np.ndarray | None,
-                  n_max: int, m_max: int,
-                  force_wide: bool = False) -> type:
+                  n_max: int, m_max: int, force_wide: bool = False,
+                  headroom: int = 1) -> type:
     """Narrowest safe dtype for the linear sweep.
 
     Every value the sweep forms -- a cell, or a cell plus one term --
@@ -89,13 +92,13 @@ def _linear_dtype(model: ScoringModel, table: np.ndarray | None,
     ``(n + m + 2) * max|score term|``. Below ``2**14`` the sweep runs
     on int16 lanes, below ``2**30`` on int32, each with a factor of two
     to spare (integer max/add is exact in any width, so results are
-    bit-identical). ``force_wide`` pins int64 -- the degradation
-    ladder's answer when an overflow guard / range check trips on the
-    narrowed path.
+    bit-identical); ``headroom`` multiplies the bound. ``force_wide``
+    pins int64 -- the degradation ladder's answer when an overflow
+    guard / range check trips on the narrowed path.
     """
     if force_wide:
         return np.int64
-    bound = (n_max + m_max + 2) * _max_abs_term(model, table)
+    bound = headroom * (n_max + m_max + 2) * _max_abs_term(model, table)
     if bound < 2 ** 14:
         return np.int16
     return np.int32 if bound < 2 ** 30 else np.int64
@@ -113,31 +116,202 @@ def linear_dtype(model: ScoringModel, n_max: int, m_max: int,
                          force_wide)
 
 
+def banded_dtype(model: ScoringModel, n_max: int, m_max: int,
+                 force_wide: bool = False) -> type:
+    """The dtype :func:`sweep_banded` will pick for these dimensions:
+    :func:`linear_dtype`'s rule with one bit more room (int16 below
+    ``2**13``, int32 below ``2**29``). The cells at the edges of a
+    pair's corridor hold the sentinel, half the dtype's minimum, and
+    every value derived from it must stay below every reachable one
+    without wrapping.
+    """
+    return _linear_dtype(model, _score_table(model), n_max, m_max,
+                         force_wide, headroom=2)
+
+
 @dataclass(frozen=True)
 class KeptMoves:
-    """Kept state of a linear sweep: moves, not scores.
+    """Kept state of a linear or banded sweep: moves, not scores.
 
     Attributes:
         batch: The bucket that was swept.
-        planes: ``(P, n+1, m+1, B)`` bool, lanes innermost.
-            ``planes[0][i, j, b]`` says the diagonal reproduces
-            ``H_b[i][j]``, ``planes[1]`` that the up move does; the
-            library-wide tie priority is how they are read -- diagonal,
-            else up, else left -- so row 0 is all false and column 0
-            all up. ``local`` sweeps add ``planes[2]``, the ``H == 0``
-            bit that stops the walk.
+        planes: ``(P, cells, B)`` bool, lanes innermost: the window of
+            rows the sweep computed on each anti-diagonal, one diagonal
+            after the other, so cell ``(i, j)`` is row
+            ``offsets[i + j] + i`` -- the whole ``(n+1) x (m+1)``
+            rectangle, or a band's corridors. ``planes[0]`` says the
+            diagonal reproduces ``H_b[i][j]``, ``planes[1]`` that the up
+            move does; the library-wide tie priority is how they are
+            read -- diagonal, else up, else left -- so row 0 is all
+            false and column 0 all up. ``local`` sweeps add
+            ``planes[2]``, the ``H == 0`` bit that stops the walk.
+        offsets: ``(n+m+1,)`` int64, per diagonal its first kept row
+            less its first swept row.
         scores: ``(B,)`` int64 scores, the same ``keep=False`` returns.
         end_i / end_j: ``(B,)`` cell each pair's walk starts from: the
             ``(q_len, r_len)`` corner, the first maximum of the last
             row (semiglobal) or of the matrix in row-major order
             (local).
+        band_lo: ``(B, n+1)`` first in-band column of each row of a
+            banded sweep, ``None`` for the rectangle. A walk that steps
+            left of it has left the band (:func:`repro.dp.traceback.
+            walk_moves`).
     """
 
     batch: PairBatch
     planes: np.ndarray
+    offsets: np.ndarray
     scores: np.ndarray
     end_i: np.ndarray
     end_j: np.ndarray
+    band_lo: np.ndarray | None = None
+
+
+def _band_matrix(batch: PairBatch, width: int | None,
+                 fraction: float | None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair ``(B, n+1)`` band intervals over the bucket's rows,
+    replicating :func:`repro.algorithms.banded.band_intervals` exactly.
+
+    Returns ``(swept, lo, hi)``; ``swept[b, i]`` marks ``i <= q_len[b]``,
+    the rows on which pair ``b``'s interval means anything.
+    """
+    B = batch.size
+    rows = np.arange(batch.n_max + 1, dtype=np.float64)
+    q_len = batch.q_len.astype(np.float64)
+    r_len = batch.r_len.astype(np.float64)
+    if width is not None:
+        half = np.full(B, int(width), dtype=np.int64)
+    else:
+        half = np.maximum(
+            1, np.round(fraction * np.maximum(batch.q_len, batch.r_len))
+            .astype(np.int64))
+    safe_q = np.where(batch.q_len > 0, q_len, 1.0)
+    slope = r_len / safe_q
+    half_eff = np.maximum(np.maximum(half, np.ceil(slope).astype(np.int64)),
+                          1)
+    centers = np.round(rows[None, :] * slope[:, None]).astype(np.int64)
+    lo = np.maximum(centers - half_eff[:, None], 0)
+    hi = np.minimum(centers + half_eff[:, None], batch.r_len[:, None])
+    zero_q = batch.q_len == 0
+    if zero_q.any():
+        lo[zero_q] = 0
+        hi[zero_q] = batch.r_len[zero_q, None]
+    return rows[None, :] <= q_len[:, None], lo, hi
+
+
+@dataclass(frozen=True)
+class _Band:
+    """A bucket's corridors as the diagonal sweep reads them.
+
+    The scalar :class:`~repro.algorithms.banded.BandedAligner` scans
+    row ``i`` left to right and masks it to ``[lo[i], hi[i]]`` only
+    afterwards, so values reach its band through the *shadow* columns
+    ``lo[i-1] <= j < lo[i]``. Pair ``b`` therefore computes row ``i``
+    on columns ``lo[i-1] .. hi[i]``, and its rows on one diagonal are
+    one run ``top .. bottom``. (The scalar leaves ``H[i][0]``
+    unreachable once the band has left column 0; the sweep's
+    ``i * gap_i`` there never wins, as no model may price a mismatch
+    below two gaps.) A cell of the run reads
+    rows ``top - 1 .. bottom`` of the diagonal before and ``top - 1 ..
+    bottom - 1`` of the one before that, and runs move by at most a
+    row per diagonal, so the only cells off a run that its diagonal's
+    successors read are rows ``top - 1`` and ``bottom + 1``. The sweep
+    sets those two to the sentinel after each diagonal, and the shadow
+    cell -- at most one per run, its last row -- once its left read is
+    done; every other cell a lane computes off its run is never read.
+
+    Attributes:
+        lo: ``(B, n+1)`` first in-band column of each row.
+        cells / widths: ``(B,)`` band cells and widest band row per
+            pair (the scalar's ``DPStats``).
+        first / last: ``(n+m+1,)`` the union over lanes of the rows
+            each diagonal computes (``last < first`` where none does).
+        edges: ``(n+m+1, 3B)`` what diagonal ``d`` masks, as flat
+            indices into the sweep's ``(3, n+2, B)`` buffers (diagonal
+            ``d`` in ``d % 3``, a spare last row for lanes with
+            nothing to mask): its runs' edge rows and diagonal
+            ``d - 1``'s shadow cells.
+    """
+
+    lo: np.ndarray
+    cells: np.ndarray
+    widths: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    edges: np.ndarray
+
+    @classmethod
+    def of(cls, batch: PairBatch, width: int | None,
+           fraction: float | None) -> "_Band":
+        B, n_max = batch.size, batch.n_max
+        steps = n_max + batch.m_max + 1
+        swept, lo, hi = _band_matrix(batch, width, fraction)
+        band = np.where(swept, hi - lo + 1, 0)
+        top, bottom, first, last = _runs(steps, swept, lo, hi)
+        live = top <= bottom
+        below = np.minimum(bottom, n_max)
+        # A run's last row is a shadow cell until the row enters the band.
+        shaded = live & (np.arange(steps) < np.take_along_axis(
+            lo, below, axis=1) + below)
+        spare = n_max + 1
+        edges = np.empty((steps, 3, B), dtype=np.int32)
+        edges[:, 0] = np.where(live & (top > 0), top - 1, spare).T
+        edges[:, 1] = np.where(live, bottom + 1, spare).T
+        edges[0, 2] = spare
+        edges[1:, 2] = np.where(shaded[:, :-1], bottom[:, :-1], spare).T
+        edges *= B
+        edges += np.arange(B)
+        slot = np.arange(steps) % 3 * ((spare + 1) * B)
+        edges[:, :2] += slot[:, None, None]
+        edges[1:, 2] += slot[:-1, None]
+        return cls(lo, band.sum(axis=1), band.max(axis=1, initial=0),
+                   first, last, edges.reshape(steps, 3 * B))
+
+
+def _runs(steps: int, swept: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+          ) -> tuple[np.ndarray, ...]:
+    """Each lane's run of rows on each diagonal, and their union.
+
+    Row ``i`` of pair ``b`` is computed on diagonals ``i + lo[i-1]``
+    to ``i + hi[i]`` (see :class:`_Band`); both rise with ``i``, so the
+    run on ``d`` is from the first row not yet closed to the last one
+    opened.
+
+    Returns ``(top, bottom, first, last)``: the ``(B, steps)`` runs
+    ``top .. bottom`` (empty once a pair is done) and their
+    ``(steps,)`` union.
+    """
+    B, rows = lo.shape
+    row = np.arange(rows)
+    lane = np.arange(B)[:, None] * (steps + 1)
+
+    def reached(diagonal: np.ndarray) -> np.ndarray:
+        """A lane's rows whose ``diagonal <= d``, per ``d``."""
+        at = np.where(swept, np.minimum(diagonal, steps), steps) + lane
+        return np.bincount(at.ravel(), minlength=B * (steps + 1)) \
+            .reshape(B, steps + 1)[:, :steps].cumsum(axis=1, dtype=np.int32)
+
+    opens = row + np.concatenate([lo[:, :1], lo[:, :-1]], axis=1)
+    top, bottom = reached(row + hi + 1), reached(opens)
+    bottom -= 1
+    live = top <= bottom
+    first = np.where(live, top, rows).min(axis=0, initial=rows)
+    last = np.where(live, bottom, -1).max(axis=0, initial=-1)
+    first[last < 0] = 0
+    return top, bottom, first, last
+
+
+def kept_cells(batch: PairBatch, width: int | None = None,
+               fraction: float | None = None) -> int:
+    """Kept cells per pair of a ``keep=True`` sweep of ``batch``: the
+    rectangle, or with a band the rows its lanes' runs span on each
+    diagonal -- what :attr:`KeptMoves.planes` allocates."""
+    if width is None and fraction is None:
+        return (batch.n_max + 1) * (batch.m_max + 1)
+    *_, first, last = _runs(batch.n_max + batch.m_max + 1,
+                            *_band_matrix(batch, width, fraction))
+    return int(np.maximum(last - first + 1, 0).sum())
 
 
 def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
@@ -168,12 +342,50 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
     """
     if kind not in ("global", "semiglobal", "local"):
         raise ValueError(f"unknown linear sweep kind {kind!r}")
+    dtype = _linear_dtype(model, _score_table(model), batch.n_max,
+                          batch.m_max, force_wide)
+    return _sweep(batch, model, kind, keep, dtype)
+
+
+def sweep_banded(batch: PairBatch, model: ScoringModel,
+                 width: int | None, fraction: float | None, keep: bool,
+                 force_wide: bool = False,
+                 ) -> tuple[np.ndarray | KeptMoves, np.ndarray, np.ndarray]:
+    """Batched banded NW (same corridor as
+    :class:`~repro.algorithms.banded.BandedAligner`): the global
+    :func:`sweep_linear` body on each diagonal's rows of the lanes'
+    corridors, the cells at the edges of each lane's masked after
+    every diagonal (:class:`_Band`).
+
+    Returns ``(scores_or_moves, cells_computed, max_widths)``: ``(B,)``
+    int64 scores, or the :class:`KeptMoves` of the corridors when
+    ``keep``. A score at or below :data:`PRUNE_FLOOR` means the band
+    excluded the ``(n, m)`` corner for that pair.
+    """
+    band = _Band.of(batch, width, fraction)
+    dtype = banded_dtype(model, batch.n_max, batch.m_max, force_wide)
+    return _sweep(batch, model, "global", keep, dtype, band), band.cells, \
+        band.widths
+
+
+def _sweep(batch: PairBatch, model: ScoringModel, kind: str, keep: bool,
+           dtype: type, band: _Band | None = None,
+           ) -> np.ndarray | KeptMoves:
+    """The one anti-diagonal body of :func:`sweep_linear` and
+    :func:`sweep_banded`: diagonal ``d`` computes rows ``first[d]`` to
+    ``last[d]`` -- the rectangle's, or the union of a band's lanes'."""
     B, m_max = batch.r.shape
     n_max = batch.q.shape[1]
     table = _score_table(model)
-    dtype = _linear_dtype(model, table, n_max, m_max, force_wide)
     gap_i, gap_d = dtype(model.gap_i), dtype(model.gap_d)
     local = kind == "local"
+    steps = n_max + m_max + 1
+    if band is None:
+        diagonal = np.arange(steps)
+        first = np.maximum(diagonal - m_max, 0)
+        last = np.minimum(diagonal, n_max)
+    else:
+        first, last = band.first, band.last
     # Cell (i, d - i) reads query row i - 1 and reversed reference row
     # m - d + i: both step by one row as i does.
     q = np.ascontiguousarray(batch.q.T)
@@ -189,13 +401,18 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
         r = r.astype(index)
         at = np.empty((n_max, B), dtype=index)
     sub, diag, up = (np.empty((n_max, B), dtype=dtype) for _ in range(3))
-    h2, h1, h = (np.empty((n_max + 1, B), dtype=dtype) for _ in range(3))
+    if band is None:
+        buffers = np.empty((3, n_max + 1, B), dtype=dtype)
+    else:
+        neg = dtype(NEG_INF if dtype is np.int64
+                    else np.iinfo(dtype).min // 2)
+        buffers = np.full((3, n_max + 2, B), neg, dtype=dtype)
+    h2, h1, h = buffers         # diagonal d in buffers[d % 3]
 
     # Each diagonal records what the captures need into ``seen``,
     # resolved once the sweep is done: each lane's row q_len (global /
     # semiglobal), or the diagonal's peak over the pair's own cells and,
     # as n + 1 - i, the first row holding it (local).
-    steps = n_max + m_max + 1
     if local:
         seen = np.zeros((steps, B), dtype=dtype)
         zeros = np.zeros((n_max, B), dtype=dtype)
@@ -211,31 +428,38 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
         ranks[0] = n_max + 1                        # H[0][0] = 0
     else:
         row_at = batch.q_len * B + np.arange(B)
-        last = batch.q_len + batch.r_len
-        first = last if kind == "global" else batch.q_len
-        reads = range(int(first.min()), int(last.max()) + 1)
+        last_d = batch.q_len + batch.r_len
+        first_d = last_d if kind == "global" else batch.q_len
+        reads = range(int(first_d.min()), int(last_d.max()) + 1)
         seen = np.empty((len(reads), B), dtype=dtype)
     if keep:
-        planes = np.zeros((2 + local, n_max + 1, m_max + 1, B), dtype=bool)
+        sizes = np.maximum(last - first + 1, 0)
+        offsets = np.cumsum(sizes) - sizes - first
+        planes = np.zeros((2 + local, int(sizes.sum()), B), dtype=bool)
+        rows = np.arange(1, n_max + 1)
+        rows = rows[last[rows] == rows]             # cells (i, 0) swept
         if local:
-            planes[2, 0] = planes[2, :, 0] = True   # H = 0 on the borders
+            planes[2, offsets[:m_max + 1]] = True   # H = 0 on the borders
+            planes[2, offsets[rows] + rows] = True
             rank = np.arange(n_max + 1, 0, -1, dtype=dtype)[:, None]
             hit = np.empty((n_max, B), dtype=bool)
             ranked = np.empty((n_max, B), dtype=dtype)
         else:
-            planes[1, 1:, 0] = True                 # H[i][0] = i * gap_i
-        # views[p][i, d] is plane p's cell (i, d - i).
-        views = [np.lib.stride_tricks.as_strided(
-            plane, shape=(n_max + 1, steps, B),
-            strides=(m_max * B, B, 1)) for plane in planes]
+            planes[1, offsets[rows] + rows] = True  # H[i][0] = i * gap_i
+        kept_at = offsets.tolist()
 
+    firsts, lasts = first.tolist(), last.tolist()
+    edges = None if band is None else band.edges
     for d in range(steps):
         h2, h1, h = h1, h, h2
-        if d <= m_max:
+        a, z = firsts[d], lasts[d]
+        if a > z:
+            continue
+        if a == 0:
             h[0] = d * model.gap_d if kind == "global" else 0
-        if d <= n_max:
+        if z == d:
             h[d] = 0 if local else d * model.gap_i
-        lo, hi = max(1, d - m_max), min(n_max, d - 1) + 1
+        lo, hi = max(1, a), min(z, d - 1) + 1
         if lo < hi:
             L, k = hi - lo, m_max - d
             cell, s, dg, u = h[lo:hi], sub[:L], diag[:L], up[:L]
@@ -245,7 +469,7 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
                 np.add(s, mismatch, out=s)
             else:
                 np.add(q[lo - 1:hi - 1], r[k + lo:k + hi], out=at[:L])
-                np.take(flat, at[:L], out=s)
+                flat.take(at[:L], out=s)
             np.add(h2[lo - 1:hi - 1], s, out=dg)
             np.add(h1[lo - 1:hi - 1], gap_i, out=u)
             np.add(h1[lo:hi], gap_d, out=cell)
@@ -254,10 +478,11 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
             if local:
                 np.maximum(cell, zeros[:L], out=cell)
             if keep:
-                np.equal(cell, dg, out=views[0][lo:hi, d])
-                np.equal(cell, u, out=views[1][lo:hi, d])
+                o = kept_at[d]
+                np.equal(cell, dg, out=planes[0, o + lo:o + hi])
+                np.equal(cell, u, out=planes[1, o + lo:o + hi])
                 if local:
-                    np.equal(cell, zeros[:L], out=views[2][lo:hi, d])
+                    np.equal(cell, zeros[:L], out=planes[2, o + lo:o + hi])
             if local:
                 own = masked[:L]
                 np.minimum(cell, q_cap[lo:hi], out=own)
@@ -267,6 +492,8 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
                     np.equal(own, seen[d], out=hit[:L])
                     np.multiply(hit[:L], rank[lo:hi], out=ranked[:L])
                     ranked[:L].max(axis=0, out=ranks[d])
+        if band is not None:
+            buffers.put(edges[d], neg)
         if not local and d in reads:
             h.take(row_at, out=seen[d - reads.start])
 
@@ -282,24 +509,26 @@ def sweep_linear(batch: PairBatch, model: ScoringModel, kind: str,
         # Lane b's row q_len is its own on diagonals first..last; argmax
         # keeps the first maximum, the smallest j.
         diagonal = np.arange(reads.start, reads.stop)[:, None]
-        window = (diagonal >= first) & (diagonal <= last)
+        window = (diagonal >= first_d) & (diagonal <= last_d)
         ends = np.where(window, seen, np.iinfo(dtype).min).argmax(axis=0)
         scores = seen[ends, np.arange(B)]
         end_i, end_j = batch.q_len, ends + reads.start - batch.q_len
     scores = scores.astype(np.int64)
     if not keep:
         return scores
-    return KeptMoves(batch, planes, scores, end_i, end_j)
+    return KeptMoves(batch, planes, offsets, scores, end_i, end_j,
+                     None if band is None else band.lo)
 
 
-def walk_cells(pieces: list[PairBatch]) -> int:
-    """Resident cells of one lock-step walk over the kept moves of
-    ``pieces``: their planes plus the walk's ``steps x lanes`` history,
-    so callers can size their walk groups."""
-    return sum(piece.size * (piece.n_max + 1) * (piece.m_max + 1)
-               for piece in pieces) \
-        + sum(piece.size for piece in pieces) \
-        * max(piece.n_max + piece.m_max + 1 for piece in pieces)
+def walk_cells(kept: list[KeptMoves], piece: PairBatch, cells: int) -> int:
+    """Resident cells of one lock-step walk over ``kept`` and the moves
+    of ``piece``, ``cells`` per pair (:func:`kept_cells`): their planes
+    plus the walk's ``steps x lanes`` history, so callers can size
+    their walk groups."""
+    batches = [piece] + [k.batch for k in kept]
+    return piece.size * cells + sum(k.planes[0].size for k in kept) \
+        + sum(b.size for b in batches) \
+        * max(b.n_max + b.m_max + 1 for b in batches)
 
 
 # ----------------------------------------------------------------------
@@ -371,226 +600,3 @@ def sweep_affine(batch: PairBatch, model: ScoringModel,
     if keep:
         return h_mat, e_mat, f_mat
     return out
-
-
-# ----------------------------------------------------------------------
-# Banded kernel
-# ----------------------------------------------------------------------
-
-def _band_matrix(batch: PairBatch, width: int | None,
-                 fraction: float | None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair ``(B, n+1)`` band intervals over the rows ``0..n`` some
-    pair sweeps (``n = max q_len``), replicating
-    :func:`repro.algorithms.banded.band_intervals` exactly.
-
-    Returns ``(swept, lo, hi)``; ``swept[b, i]`` marks ``i <= q_len[b]``,
-    the rows on which pair ``b``'s interval means anything.
-    """
-    B = batch.size
-    rows = np.arange(int(batch.q_len.max(initial=0)) + 1, dtype=np.float64)
-    q_len = batch.q_len.astype(np.float64)
-    r_len = batch.r_len.astype(np.float64)
-    if width is not None:
-        half = np.full(B, int(width), dtype=np.int64)
-    else:
-        half = np.maximum(
-            1, np.round(fraction * np.maximum(batch.q_len, batch.r_len))
-            .astype(np.int64))
-    safe_q = np.where(batch.q_len > 0, q_len, 1.0)
-    slope = r_len / safe_q
-    half_eff = np.maximum(np.maximum(half, np.ceil(slope).astype(np.int64)),
-                          1)
-    centers = np.round(rows[None, :] * slope[:, None]).astype(np.int64)
-    lo = np.maximum(centers - half_eff[:, None], 0)
-    hi = np.minimum(centers + half_eff[:, None], batch.r_len[:, None])
-    zero_q = batch.q_len == 0
-    if zero_q.any():
-        lo[zero_q] = 0
-        hi[zero_q] = batch.r_len[zero_q, None]
-    return rows[None, :] <= q_len[:, None], lo, hi
-
-
-@dataclass(frozen=True)
-class KeptBand:
-    """Compact kept matrices of a banded sweep: the corridor only.
-
-    Attributes:
-        rows: ``(B, n+1, W)`` band storage, ``rows[b, i, k]`` being
-            ``H_b[i][start[i] + k]``. ``W`` is the bucket's widest
-            union window -- ``2*half + 1`` plus the spread of the
-            pairs' diagonals plus the one-row lag of the window -- not
-            ``m+1``. Masked cells hold the sweep dtype's sentinel.
-        start: ``(n+1,)`` first stored column of each row; a column
-            outside ``[start[i], start[i] + W)`` is outside every
-            pair's band and reads as unreachable
-            (:func:`repro.dp.traceback.traceback_banded`).
-        scores: ``(B,)`` int64 corner scores ``H_b[q_len][r_len]``,
-            ``NEG_INF`` where the band excluded the corner.
-    """
-
-    rows: np.ndarray
-    start: np.ndarray
-    scores: np.ndarray
-
-
-def _band_windows(swept: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  ) -> tuple[np.ndarray, int]:
-    """Per-row union window ``[start[i], start[i] + W)`` of a bucket's
-    bands: over the pairs sweeping row ``i``, the union of
-    ``[min(lo[i-1], lo[i]), hi[i]]``.
-
-    The window opens at the *previous* row's ``lo`` because the scalar
-    recurrence lets values flow through columns ``lo[i-1] <= j <
-    lo[i]`` of row ``i`` during the horizontal scan before it masks
-    them.
-    """
-    first = lo.copy()
-    np.minimum(lo[:, :-1], lo[:, 1:], out=first[:, 1:])
-    start = np.where(swept, first, np.iinfo(np.int64).max).min(axis=0)
-    stop = np.where(swept, hi, 0).max(axis=0)
-    return start, int((stop - start).max()) + 1
-
-
-def band_storage_cells(batch: PairBatch, width: int | None,
-                       fraction: float | None) -> int:
-    """Cells per pair that ``sweep_banded(keep=True)`` stores for this
-    bucket -- an upper bound for any slice of it -- so callers can
-    size their chunks."""
-    swept, lo, hi = _band_matrix(batch, width, fraction)
-    return lo.shape[1] * _band_windows(swept, lo, hi)[1]
-
-
-def banded_dtype(model: ScoringModel, n_max: int, m_max: int,
-                 force_wide: bool = False) -> type:
-    """The dtype :func:`sweep_banded` will pick for these dimensions.
-
-    Stricter than :func:`linear_dtype`: the window runs up to
-    ``m_max + 1`` padding columns past the rectangle, and the int32
-    sentinel ``-2**30`` needs room on both sides -- reachable values
-    stay above ``-2**29``, values derived from the sentinel stay below
-    it and never wrap.
-    """
-    if force_wide:
-        return np.int64
-    bound = (n_max + 2 * (2 * m_max + 1) + 2) \
-        * _max_abs_term(model, _score_table(model))
-    return np.int32 if bound < 2 ** 27 else np.int64
-
-
-def sweep_banded(batch: PairBatch, model: ScoringModel,
-                 width: int | None, fraction: float | None, keep: bool,
-                 force_wide: bool = False,
-                 ) -> tuple[np.ndarray | KeptBand, np.ndarray, np.ndarray]:
-    """Batched banded NW (same corridor as
-    :class:`~repro.algorithms.banded.BandedAligner`).
-
-    Every row is computed, scanned and masked on the bucket's union
-    window of ``W`` columns only (:func:`_band_windows`), in place on
-    one tilted running row as in :func:`sweep_linear`; ``keep`` stores
-    that window and nothing else.
-
-    Returns ``(scores_or_band, cells_computed, max_widths)``: ``(B,)``
-    int64 scores, or a :class:`KeptBand` when ``keep``. A score at or
-    below :data:`PRUNE_FLOOR` means the band excluded the ``(n, m)``
-    corner for that pair.
-    """
-    B, m_max = batch.r.shape
-    table = _score_table(model)
-    dtype = banded_dtype(model, batch.q.shape[1], m_max, force_wide)
-    neg = dtype(NEG_INF if dtype is np.int64 else -(1 << 30))
-    gap_i, gap_d = model.gap_i, model.gap_d
-    swept, lo, hi = _band_matrix(batch, width, fraction)
-    band = np.where(swept, hi - lo + 1, 0)
-    cells, widths = band.sum(axis=1), band.max(axis=1)
-    start, W = _band_windows(swept, lo, hi)
-    starts = start.tolist()
-    # Window-relative band edges, one contiguous row per DP row: pair
-    # b's band in row i is columns start[i] + (left[i, b] ..
-    # right[i, b]). Only the strips [0, strip_l[i]) and [strip_r[i], W)
-    # of the window hold out-of-band cells of any pair, so only they
-    # are compared and masked. Rows a pair no longer sweeps are never
-    # read back; they keep the whole window.
-    left = np.ascontiguousarray(np.where(swept, lo - start, 0).T)
-    right = np.ascontiguousarray(np.where(swept, hi - start, W).T)
-    strip_l = left.max(axis=1).tolist()
-    strip_r = (right.min(axis=1) + 1).tolist()
-    ks = np.arange(W)
-
-    # Buffer index = column + 1 (index 0 is a sentinel guard for the
-    # diagonal read of column 0); W padding columns on the right let
-    # every window be W wide. The columns a window leaves behind on its
-    # left lie below every sweeping pair's lo of that row, so the mask
-    # has already reset them. r_pad[:, j] is the reference symbol that
-    # cell column j consumes.
-    columns = m_max + 1 + W
-    row = np.full((B, columns + 1), neg, dtype=dtype)
-    r_pad = np.zeros((B, columns), dtype=np.uint8)
-    r_pad[:, 1:m_max + 1] = batch.r
-    q_cols = np.ascontiguousarray(batch.q.T)
-    score_dtype = dtype if force_wide or \
-        2 * _max_abs_term(model, table) >= 2 ** 14 else np.int16
-    if table is None:
-        # Fold the tilt's "- gap_d" into the substitution scores.
-        match_t = score_dtype(model.match - gap_d)
-        miss_t = score_dtype(model.mismatch - gap_d)
-        eq = np.empty((B, W), dtype=bool)
-        scores = np.empty((B, W), dtype=score_dtype)
-    else:
-        # profile[b, c, j] = S(c, r_pad[b, j]) - gap_d: each row pulls
-        # one window of one profile row per pair.
-        profile = np.ascontiguousarray(
-            (table - gap_d).astype(score_dtype)[:, r_pad].transpose(1, 0, 2))
-        pair_ids = np.arange(B)
-        q_cols = q_cols.astype(np.intp)
-
-    offsets = np.arange(columns, dtype=dtype) * dtype(gap_d)
-    stored = np.empty((B, len(starts), W), dtype=dtype) if keep else None
-    finishing: dict[int, list[int]] = {}
-    for b, n in enumerate(batch.q_len.tolist()):
-        finishing.setdefault(n, []).append(b)
-    raw = np.full(B, neg, dtype=dtype)
-
-    def settle(i: int, window: np.ndarray) -> None:
-        """Mask row ``i`` to the bands, keep it, capture finished pairs."""
-        cut = strip_l[i]
-        if cut:
-            np.copyto(window[:, :cut], neg,
-                      where=ks[:cut] < left[i][:, None])
-        cut = strip_r[i]
-        if cut < W:
-            np.copyto(window[:, cut:], neg,
-                      where=ks[cut:] > right[i][:, None])
-        if keep:
-            np.add(window, offsets[starts[i]:starts[i] + W],
-                   out=stored[:, i])
-        done = finishing.get(i)
-        if done:
-            raw[done] = row[done, batch.r_len[done] + 1]
-
-    window = row[:, starts[0] + 1:starts[0] + 1 + W]
-    window[...] = 0                                  # H[0][j] = j * gap_d
-    settle(0, window)
-    up_step = dtype(gap_i)
-    diag = np.empty((B, W), dtype=dtype)
-    g = np.empty((B, W), dtype=dtype)
-    for i in range(1, len(starts)):
-        s = starts[i]
-        if table is None:
-            np.equal(r_pad[:, s:s + W], q_cols[i - 1][:, None], out=eq)
-            np.multiply(eq, match_t - miss_t, out=scores)
-            scores += miss_t
-        else:
-            scores = profile[pair_ids, q_cols[i - 1], s:s + W]
-        window = row[:, s + 1:s + 1 + W]
-        np.add(row[:, s:s + W], scores, out=diag)
-        np.add(window, up_step, out=g)
-        np.maximum(diag, g, out=g)
-        if s == 0:
-            g[:, 0] = np.where(lo[:, i] == 0, dtype(i * gap_i), neg)
-        np.maximum.accumulate(g, axis=1, out=window)
-        settle(i, window)
-    out = np.where(raw <= neg // 2, NEG_INF,
-                   raw.astype(np.int64) + batch.r_len * gap_d)
-    return (KeptBand(stored, start, out) if keep else out), cells, widths
-

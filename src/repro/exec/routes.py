@@ -24,7 +24,7 @@ from repro.algorithms.base import AlignerResult, DPStats
 from repro.algorithms.local import _require_positive_scores
 from repro.algorithms.wavefront import _check_edit_model
 from repro.dp.alignment import Alignment
-from repro.dp.traceback import traceback_banded, walk_moves
+from repro.dp.traceback import no_predecessor, walk_moves
 from repro.errors import AlignmentError
 from repro.exec import bitparallel as bitparallel_kernel
 from repro.exec import kernels
@@ -239,9 +239,7 @@ class _Linear(Route):
         """One lock-step walk over all of ``run.kept``."""
         kind, kept, results = run.batch.mode, run.kept, run.results
         with run.obs.profiler.phase("traceback"):
-            cigars, start_i, start_j = walk_moves(
-                [(k.planes, k.end_i, k.end_j, k.batch.q, k.batch.r)
-                 for k in kept], kind)
+            cigars, start_i, start_j = walk_moves(kept, kind)
             columns = [(k.batch.index, k.batch.q_len * k.batch.r_len,
                         k.scores, k.end_i, k.end_j) for k in kept]
             lanes = zip(cigars, start_i, start_j, *(
@@ -318,8 +316,8 @@ class _Banded(Route):
             run.batch.wide_dtype))
 
     def resident(self, run, bucket) -> int:
-        return kernels.band_storage_cells(bucket, *self._band(run)) \
-            if run.keep else 0
+        return kernels.kept_cells(bucket, *self._band(run)) if run.keep \
+            else 0
 
     def phase(self, run, piece) -> str:
         return f"banded[{self._dtype(run, piece).name}]"
@@ -334,11 +332,11 @@ class _Banded(Route):
     def settle(self, run, piece, swept):
         """A pair the band cut off gets a failed result -- or, with
         ``run.accept``, is returned instead, as is a pair whose corner
-        score does not prove the band exact or whose walk fails. A
-        pruned path surfaces as a failed result, as in the scalar
-        aligner."""
-        band, cells, widths = swept
-        scores = band.scores if run.keep else band
+        score does not prove the band exact or whose walk leaves the
+        band. A walk that does fails as the scalar aligner's traceback
+        does, at the same cell."""
+        kept, cells, widths = swept
+        scores = kept.scores if run.keep else kept
         ok = scores > kernels.PRUNE_FLOOR
         certified = run.accept is not None
         if certified:
@@ -355,23 +353,23 @@ class _Banded(Route):
         rows = np.flatnonzero(ok) if certified else np.arange(piece.size)
         if run.keep and rows.size:
             with run.obs.profiler.phase("traceback"):
+                cigars, stop_i, stop_j = walk_moves([kept], "global")
                 for b in rows.tolist():
                     work = int(cells[b])
                     score, alignment, reason = None, None, \
                         "band excluded (n, m)"
-                    if ok[b]:
-                        q_codes, r_codes, n, m = _pair_view(piece, b)
+                    if ok[b] and cigars[b] is None:
                         score = int(scores[b])
-                        try:
-                            cigar, path = traceback_banded(
-                                band.rows[b], band.start, q_codes, r_codes,
-                                run.config.model)
-                            alignment, reason = Alignment(
-                                score=score, cigar=cigar, query_len=n,
-                                ref_len=m,
-                                meta={"path_cells": len(path)}), ""
-                        except AlignmentError as exc:
-                            reason, ok[b] = str(exc), not certified
+                        reason, ok[b] = no_predecessor(
+                            stop_i[b], stop_j[b]), not certified
+                    elif ok[b]:
+                        score, reason = int(scores[b]), ""
+                        alignment = Alignment(
+                            score=score, cigar=cigars[b],
+                            query_len=int(piece.q_len[b]),
+                            ref_len=int(piece.r_len[b]), meta={
+                                "path_cells": 1 + sum(
+                                    c for c, _ in cigars[b])})
                     results[int(index[b])] = AlignerResult(
                         alignment=alignment, score=score,
                         failed=alignment is None, failure_reason=reason,

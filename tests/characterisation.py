@@ -30,6 +30,12 @@ anything, the bucket it used to sweep first having merged into the
 violating pair's. When the linear sweep moved to int16 lanes, only its
 ``linear.*[int32]`` phase labels (now ``[int16]``) and the
 ``bytes_moved`` figures priced by that dtype's width were re-recorded.
+When the banded route moved onto the linear sweep's anti-diagonal body
+and walk, with int16 lanes where its bound allows, only its
+``banded[int32]`` phase labels (now ``[int16]``) and the ``bytes_moved``
+figures priced by that dtype's width were re-recorded, after a key by
+key comparison: every per-pair score, CIGAR, meta, ``DPStats`` and
+error, every cell count and every other stack path read as recorded.
 ``tests/test_characterisation.py`` asserts the engine still
 reproduces it. ``tests/fixtures/xdrop_characterisation.json`` holds
 the per-pair records of those X-drop cases as the retired route

@@ -507,7 +507,7 @@ def test_banded_wide_dtype_matches_narrow(configs):
     int64 rows without changing any result."""
     config = configs["dna-gap"]
     pairs = _band_sweep_pairs(config)
-    assert kernels.banded_dtype(config.model, 64, 128) is np.int32
+    assert kernels.banded_dtype(config.model, 64, 128) is np.int16
     for traceback in (True, False):
         batch = BatchConfig(engine="vector", algorithm="banded",
                             band_width=3, traceback=traceback)

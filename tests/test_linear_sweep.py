@@ -80,6 +80,13 @@ def _oracle_bits(h: np.ndarray, q, r, model, kind: str) -> list:
     return [diag, up] + ([h == 0] if kind == "local" else [])
 
 
+def _rectangle(kept) -> np.ndarray:
+    """The kept planes as ``(P, n+1, m+1, B)``: cell ``(i, j)`` is
+    row ``offsets[i + j] + i`` of the diagonal layout."""
+    i, j = np.indices((kept.batch.n_max + 1, kept.batch.m_max + 1))
+    return kept.planes[:, kept.offsets[i + j] + i]
+
+
 @pytest.fixture(params=["dna-gap", "protein"])
 def linear_config(request, configs):
     """Match/mismatch scores and a substitution table (BLOSUM50)."""
@@ -93,9 +100,10 @@ def test_sweep_matches_oracle(linear_config, kind):
         scores = kernels.sweep_linear(batch, model, kind, keep=False)
         kept = kernels.sweep_linear(batch, model, kind, keep=True)
         assert scores.dtype == np.int64
-        assert kept.planes.shape == (2 + (kind == "local"),
-                                     batch.n_max + 1, batch.m_max + 1,
+        cells = (batch.n_max + 1) * (batch.m_max + 1)
+        assert kept.planes.shape == (2 + (kind == "local"), cells,
                                      batch.size)
+        assert kernels.kept_cells(batch) == cells
         np.testing.assert_array_equal(kept.scores, scores)
         for lane in range(batch.size):
             n, m = int(batch.q_len[lane]), int(batch.r_len[lane])
@@ -104,7 +112,7 @@ def test_sweep_matches_oracle(linear_config, kind):
             end = _oracle_end(h, kind)
             assert scores[lane] == h[end], (kind, lane)
             assert (kept.end_i[lane], kept.end_j[lane]) == end, (kind, lane)
-            for plane, want in zip(kept.planes,
+            for plane, want in zip(_rectangle(kept),
                                    _oracle_bits(h, q, r, model, kind)):
                 np.testing.assert_array_equal(
                     plane[:n + 1, :m + 1, lane], want, err_msg=f"{kind} "

@@ -16,6 +16,8 @@ to each other:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,24 +193,60 @@ class TestBandedMemory:
         pairs = self._kilobase_pairs(rng, 4)
         lengths = np.array([(len(q), len(r)) for q, r in pairs])
         (bucket,) = bucketize(pairs, 1024)
-        band, cells, _ = kernels.sweep_banded(
+        kept, cells, _ = kernels.sweep_banded(
             bucket, GAP.model, self.HALF, None, keep=True)
         n, m = lengths.max(axis=0)
-        # Diagonals of a bucket fan out by at most its length spread
-        # (slopes here stay below 1.1), plus rounding and the one-row
-        # lag of the window's left edge.
+        # One pair's run on a diagonal is at most half + 1 band rows and
+        # a shadow cell; the lanes' runs fan out by at most the bucket's
+        # length spread (slopes here stay below 1.1), plus rounding.
         spread = int(2 * np.ptp(lengths[:, 0]) + np.ptp(lengths[:, 1])) + 3
-        per_pair = band.rows.nbytes // len(pairs)
-        assert band.rows.dtype == np.int32
-        assert per_pair <= (n + 1) * (2 * self.HALF + 1 + spread) * 4
-        assert per_pair * 4 < (n + 1) * (m + 1) * 8
-        assert kernels.band_storage_cells(
-            bucket, self.HALF, None) * 4 == per_pair
-        # One pair alone pays for its own band and one lag column.
+        planes, per_pair, lanes = kept.planes.shape
+        assert (planes, lanes) == (2, len(pairs))
+        assert kept.planes.dtype == bool
+        assert per_pair <= (n + m + 1) * (self.HALF + 2 + spread)
+        assert per_pair * 2 < (n + 1) * (m + 1)
+        assert kernels.kept_cells(bucket, self.HALF, None) == per_pair
+        # One pair alone keeps its band and the shadow cells ahead of
+        # it, at most one per column.
         (single,) = bucketize(pairs[:1], 16)
-        alone, _, _ = kernels.sweep_banded(
+        alone, band, _ = kernels.sweep_banded(
             single, GAP.model, self.HALF, None, keep=True)
-        assert alone.rows.shape[2] == 2 * self.HALF + 2
+        assert band[0] < alone.planes.shape[1] <= band[0] + single.m_max
+
+    def test_resident_is_the_allocated_planes(self, rng):
+        """``_Banded.resident`` -- what the engine sizes pieces by --
+        is the plane cells the sweep allocates per pair."""
+        from repro.exec import routes
+        pairs = self._kilobase_pairs(rng, 3)
+        (bucket,) = bucketize(pairs, 1024)
+        batch = BatchConfig(algorithm="banded", band_width=self.HALF)
+        run = routes.Pass(GAP, batch, Observability(), [None] * 3, keep=True)
+        route = routes.ROUTES[ROUTE_BANDED]
+        (kept, _, _), _, _ = route.sweep(run, bucket)
+        assert route.resident(run, bucket) * bucket.size \
+            == kept.planes[0].size
+
+    def test_kilobase_bucket_is_one_piece(self, rng):
+        """32 1 kb pairs of one length class at half-width 128 keep
+        under the default ``max_batch_cells``, so their bucket is swept
+        and walked once."""
+        from repro.exec import kernels
+        batch = BatchConfig(algorithm="banded", band_width=self.HALF)
+        pairs = []
+        while len(pairs) < 32:
+            pair = make_pair(GAP, 1000, 0.08, rng)
+            if 992 < len(pair[0]) <= 1008:
+                pairs.append(pair)
+        (bucket,) = bucketize(pairs, batch.bucket_granularity)
+        assert kernels.kept_cells(bucket, self.HALF, None) * 32 \
+            <= batch.max_batch_cells
+        obs = Observability.enabled_context(profile=True)
+        results = BatchEngine(GAP, batch, obs=obs).run(pairs)
+        calls = Counter()
+        for path, stat in obs.profiler.stacks.items():
+            calls[path[-1].split("[")[0]] += stat.calls
+        assert calls["banded"] == calls["traceback"] == 1
+        assert all(result.alignment is not None for result in results)
 
     def test_auto_banded_route_never_allocates_a_rectangle(self, rng):
         import tracemalloc
